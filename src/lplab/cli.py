@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -20,10 +21,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .criteria import classify_euler, sign_test_euler, sign_test_theta
+from .criteria import CriterionReport, classify_euler, sign_test_euler, sign_test_theta
 from .constants import c_n, critical_a, q_infinity, threshold_table, transition_scan
-from .errors import LplabError
-from .series import FamilyKind, SeriesFamily, evaluate, quotients
+from .errors import FloatRangeError, LplabError
+from .series import FamilyKind, SeriesFamily, evaluate, quotients, section_sum
 from .verify import (
     check_block_inequalities,
     check_circle_minimum,
@@ -41,23 +42,37 @@ _FAMILIES = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    return complex(*(_finite(part) for part in parts))
 
 
 def _parse_grid(text: str) -> List[float]:
     try:
         lo, hi, steps = text.split(":")
-        return [float(x) for x in np.linspace(float(lo), float(hi), int(steps))]
-    except ValueError as exc:
+        return [float(x) for x in np.linspace(_finite(lo), _finite(hi), int(steps))]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected LO:HI:STEPS, got {text!r}"
         ) from exc
+
+
+def _parse_radius(text: str) -> str:
+    """A finite radius or rho:J, checked here and kept as text for the echo."""
+    if text.startswith("rho:"):
+        int(text[4:])
+    else:
+        _finite(text)
+    return text
 
 
 def _jsonable(value):
@@ -87,40 +102,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a family with a certified tail bound")
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_finite, default=1e-12)
     common(p)
 
     p = sub.add_parser("section", help="evaluate a truncated section exactly")
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
     common(p)
 
     p = sub.add_parser("quotients", help="tabulate p_n and q_n")
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     common(p)
 
     p = sub.add_parser("classify", help="membership decision cascade for eulerF")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     common(p)
 
     p = sub.add_parser("sign-test", help="interval-minimum sign test")
     p.add_argument("--family", choices=("eulerF", "theta"), required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--n", type=int, default=None, help="theta section degree")
     p.add_argument("--grid", type=int, default=512)
     common(p)
 
     p = sub.add_parser("zeros", help="winding-number zero count for eulerF")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
     p.add_argument(
         "--radius",
+        type=_parse_radius,
         required=True,
         help="disk radius in the normalized variable, or rho:J for the "
         "J-th block radius",
@@ -135,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--n", type=int, default=None, help="section index for c_n")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite, default=1e-6)
     common(p)
 
     p = sub.add_parser("verify", help="run an inequality check suite")
@@ -153,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("scan-conjecture", help="verdict scan across a parameter range")
-    p.add_argument("--a-lo", type=float, required=True, dest="a_lo")
-    p.add_argument("--a-hi", type=float, required=True, dest="a_hi")
+    p.add_argument("--a-lo", type=_finite, required=True, dest="a_lo")
+    p.add_argument("--a-hi", type=_finite, required=True, dest="a_hi")
     p.add_argument("--steps", type=int, required=True)
     common(p)
 
@@ -182,15 +198,7 @@ def _run_eval(args) -> Tuple[Dict, Dict, CsvRows]:
 
 
 def _run_section(args) -> Tuple[Dict, Dict, CsvRows]:
-    fam = _family(args)
-    term = complex(1.0)
-    total = complex(1.0)
-    abs_acc = 1.0
-    for k in range(1, args.n + 1):
-        term *= args.z * fam.ratio(k)
-        total += term
-        abs_acc += abs(term)
-    roundoff = 4.0 * 2.220446049250313e-16 * (args.n + 1) * abs_acc
+    total, roundoff = section_sum(_family(args), args.n, args.z)
     return (
         {"value": total, "n": args.n},
         {"abs_error_bound": roundoff, "note": "exact truncation, roundoff only"},
@@ -198,30 +206,36 @@ def _run_section(args) -> Tuple[Dict, Dict, CsvRows]:
     )
 
 
+def _records(header: List[str], rows: List[List]) -> List[Dict]:
+    """A CSV table as the JSON list of its rows."""
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _run_quotients(args) -> Tuple[Dict, Dict, CsvRows]:
     qv = quotients(_family(args))
+    header = ["n", "p", "q"]
     rows = [[n, qv.p(n), qv.q(n) if n >= 2 else None] for n in range(1, args.n_max + 1)]
     result = {
         "limit": qv.limit,
         "monotonicity": qv.monotonicity,
-        "table": [{"n": n, "p": pn, "q": qn} for n, pn, qn in rows],
+        "table": _records(header, rows),
     }
-    return result, {"type": "closed_form"}, (["n", "p", "q"], rows)
+    return result, {"type": "closed_form"}, (header, rows)
+
+
+def _report_result(rep: CriterionReport) -> Dict:
+    return {
+        "verdict": rep.verdict.value,
+        "criterion": rep.criterion,
+        "margin": rep.margin,
+        "witness_x": rep.witness_x,
+        "witness_value": rep.witness_value,
+    }
 
 
 def _run_classify(args) -> Tuple[Dict, Dict, CsvRows]:
     rep = classify_euler(args.a, tol=args.tol)
-    return (
-        {
-            "verdict": rep.verdict.value,
-            "criterion": rep.criterion,
-            "margin": rep.margin,
-            "witness_x": rep.witness_x,
-            "witness_value": rep.witness_value,
-        },
-        {"tol": args.tol},
-        None,
-    )
+    return _report_result(rep), {"tol": args.tol}, None
 
 
 def _run_sign_test(args) -> Tuple[Dict, Dict, CsvRows]:
@@ -231,17 +245,7 @@ def _run_sign_test(args) -> Tuple[Dict, Dict, CsvRows]:
         rep = sign_test_euler(args.a, grid=args.grid)
     else:
         rep = sign_test_theta(args.a, n=args.n, grid=args.grid)
-    return (
-        {
-            "verdict": rep.verdict.value,
-            "criterion": rep.criterion,
-            "margin": rep.margin,
-            "witness_x": rep.witness_x,
-            "witness_value": rep.witness_value,
-        },
-        {"grid": args.grid},
-        None,
-    )
+    return _report_result(rep), {"grid": args.grid}, None
 
 
 def _run_zeros(args) -> Tuple[Dict, Dict, CsvRows]:
@@ -277,24 +281,9 @@ def _run_constants(args) -> Tuple[Dict, Dict, CsvRows]:
     elif args.name == "critical_a":
         br = critical_a(max(args.tol, 1e-8))
     else:
-        table = threshold_table()
-        rows = [
-            [e.name, e.computed_root, e.reference, e.deviation] for e in table
-        ]
-        result = {
-            "thresholds": [
-                {
-                    "name": e.name,
-                    "computed_root": e.computed_root,
-                    "reference": e.reference,
-                    "deviation": e.deviation,
-                }
-                for e in table
-            ]
-        }
-        return result, {"root_tol": 1e-10}, (
-            ["name", "computed_root", "reference", "deviation"], rows,
-        )
+        header = ["name", "computed_root", "reference", "deviation"]
+        rows = [[e.name, e.computed_root, e.reference, e.deviation] for e in threshold_table()]
+        return {"thresholds": _records(header, rows)}, {"root_tol": 1e-10}, (header, rows)
     result = {
         "name": args.name,
         "lo": br.lo,
@@ -332,37 +321,37 @@ def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
         res = check_positivity_interval(grid or _parse_grid("3.6:4.6:5"))
     else:
         res = check_cubic_min_algebra(samples=64, seed=args.seed)
+    # no applicable grid point leaves the margin at its +inf start value
+    worst = res.worst_margin if math.isfinite(res.worst_margin) else None
     result = {
         "suite": res.name,
         "passed": res.passed,
         "grid_points": res.grid_points,
         "failures": res.failures,
         "inapplicable": res.inapplicable,
-        "worst_margin": res.worst_margin,
+        "worst_margin": worst,
     }
     rows = (
         ["suite", "passed", "grid_points", "failures", "inapplicable", "worst_margin"],
         [[res.name, res.passed, res.grid_points, len(res.failures),
-          len(res.inapplicable), res.worst_margin]],
+          len(res.inapplicable), worst]],
     )
-    return result, {"worst_margin": res.worst_margin}, rows
+    return result, {"worst_margin": worst}, rows
 
 
 def _run_scan(args) -> Tuple[Dict, Dict, CsvRows]:
     res = transition_scan(args.a_lo, args.a_hi, args.steps)
+    header = ["a", "min_value", "verdict"]
     rows = [[p.a, p.min_value, p.verdict] for p in res.points]
     result = {
         "single_transition": res.single_transition,
         "transition_interval": list(res.transition_interval)
         if res.transition_interval
         else None,
-        "points": [
-            {"a": p.a, "min_value": p.min_value, "verdict": p.verdict}
-            for p in res.points
-        ],
+        "points": _records(header, rows),
     }
     step = (args.a_hi - args.a_lo) / max(args.steps - 1, 1)
-    return result, {"grid_step": step}, (["a", "min_value", "verdict"], rows)
+    return result, {"grid_step": step}, (header, rows)
 
 
 _HANDLERS = {
@@ -399,6 +388,14 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _finite_json(report: Dict) -> str:
+    """The report as JSON; a non-finite number in it is a computation error."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatRangeError(f"non-finite number in the result ({exc})") from None
+
+
 def _render_text(report: Dict) -> str:
     buf = io.StringIO()
     buf.write(f"command: {report['command']}\n")
@@ -415,27 +412,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     inputs = _collect_inputs(args)
+
+    def envelope(**body) -> Dict:
+        runtime_ms = (time.perf_counter() - started) * 1e3
+        return {"command": args.command, "inputs": inputs, **body,
+                "runtime_ms": runtime_ms, "tool_version": __version__}
+
     try:
         result, bounds, csv_rows = _HANDLERS[args.command](args)
-    except LplabError as exc:
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "runtime_ms": (time.perf_counter() - started) * 1e3,
-            "tool_version": __version__,
-        }
+        report = envelope(result=_jsonable(result), error_bounds=_jsonable(bounds))
+        text = _finite_json(report)
+    except (LplabError, OverflowError) as exc:
+        report = envelope(error=str(exc), error_type=type(exc).__name__)
         _emit(json.dumps(_jsonable(report), indent=2) + "\n", args.out)
         return 1
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "result": _jsonable(result),
-        "error_bounds": _jsonable(bounds),
-        "runtime_ms": (time.perf_counter() - started) * 1e3,
-        "tool_version": __version__,
-    }
     if args.format == "csv":
         if csv_rows is None:
             parser.error(f"--format csv is not available for {args.command!r}")
@@ -448,7 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.format == "text":
         _emit(_render_text(report), args.out)
     else:
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        _emit(text, args.out)
     return 0
 
 

@@ -20,8 +20,7 @@ from .criteria import (
     SIX_TERM_EXPANSION_COEFFS,
     SIX_TERM_REFERENCE_COEFFS,
     Verdict,
-    _section_min,
-    _series_min,
+    _interval_min,
     sign_test_euler,
 )
 from .errors import BracketError, MonotonicityError, ParameterError
@@ -109,11 +108,7 @@ def _theta_min_value(s: float, n: Optional[int], grid: int = 512) -> float:
     degree-n section) on (a, a^3) at a = sqrt(s)."""
     a = math.sqrt(s)
     fam = SeriesFamily(FamilyKind.THETA, a, alternating=True)
-    if n is None:
-        v, _, _ = _series_min(fam, a, a**3, grid)
-    else:
-        v, _, _ = _section_min(fam, n, a, a**3, grid)
-    return v
+    return _interval_min(fam, n, a, a**3, grid)[0]
 
 
 # The sign-test interval is open; some sections vanish identically at the

@@ -27,14 +27,14 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError, PreconditionError
 from .polyroots import RealPolynomial, isolate_real_roots, refine
 from .series import (
+    _EPS,
     FamilyKind,
     SeriesFamily,
     evaluate,
     evaluate_many,
     quotients,
+    section_sum,
 )
-
-_EPS = float(np.finfo(float).eps)
 
 
 class Verdict(str, Enum):
@@ -110,6 +110,8 @@ def hutchinson_test(family: SeriesFamily, n_max: int = 20) -> CriterionReport:
     if n_max < 2:
         raise ParameterError("n_max must be >= 2")
     qv = quotients(family)
+    if family.n_terms is not None:
+        n_max = min(n_max, family.n_terms - 1)  # q_n needs a_n
     window_min = min(qv.q(n) for n in range(2, n_max + 1))
     exact_inf = _exact_q_infimum(family)
     if exact_inf is None:
@@ -155,43 +157,50 @@ def necessary_q2(family: SeriesFamily) -> CriterionReport:
 def _golden_min(
     fn: Callable[[float], Tuple[float, float]], lo: float, hi: float
 ) -> Tuple[float, float, float]:
+    """Golden-section search for the minimum of ``fn(x) = (value, error)``
+    on [lo, hi]; returns (value, argmin, error) of the better probe.
+
+    Stops when bracket and probes repeat the state of two steps before (90
+    steps at most).  Such a cycle occurs only on a bracket at most one ulp
+    wide, and its states share one winner: the full 90 steps end the same.
+    """
     inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_gr * (hi - lo)
     x2 = lo + inv_gr * (hi - lo)
-    f1, _ = fn(x1)
-    f2, _ = fn(x2)
+    f1, e1 = fn(x1)
+    f2, e2 = fn(x2)
+    prev = older = None
     for _ in range(90):
         if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
+            hi, x2, f2, e2 = x2, x1, f1, e1
             x1 = hi - inv_gr * (hi - lo)
-            f1, _ = fn(x1)
+            f1, e1 = fn(x1)
         else:
-            lo, x1, f1 = x1, x2, f2
+            lo, x1, f1, e1 = x1, x2, f2, e2
             x2 = lo + inv_gr * (hi - lo)
-            f2, _ = fn(x2)
-    x = x1 if f1 <= f2 else x2
-    v, e = fn(x)
-    return v, x, e
+            f2, e2 = fn(x2)
+        state = (lo, hi, x1, x2)
+        if state == older:
+            break
+        older, prev = prev, state
+    return (f1, x1, e1) if f1 <= f2 else (f2, x2, e2)
 
 
 def minimize_on_interval(
     fn: Callable[[float], Tuple[float, float]],
+    batch: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     grid: int,
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Tuple[float, float, float]:
     """Grid scan then golden-section refinement around the best cell.
 
-    ``fn(x)`` returns (value, error_bound).  ``batch`` may supply the grid
+    ``fn(x)`` returns (value, error_bound); ``batch(xs)`` returns the grid
     values in one vectorized call.  Returns (min_value, argmin, error)."""
     if grid < 8:
         raise ParameterError("grid must be >= 8")
     xs = np.linspace(lo, hi, grid + 2)[1:-1]
-    if batch is not None:
-        vals = batch(xs)
-    else:
-        vals = np.array([fn(float(x))[0] for x in xs])
+    vals = batch(xs)
     i = int(np.argmin(vals))
     cell_lo = xs[i - 1] if i > 0 else lo
     cell_hi = xs[i + 1] if i + 1 < len(xs) else hi
@@ -202,39 +211,26 @@ def minimize_on_interval(
     return v, x, e
 
 
-def _series_min(
-    family: SeriesFamily, lo: float, hi: float, grid: int
+def _interval_min(
+    family: SeriesFamily, n: Optional[int], lo: float, hi: float, grid: int
 ) -> Tuple[float, float, float]:
-    def fn(x: float) -> Tuple[float, float]:
-        res = evaluate(family, x, 1e-13)
-        return res.value.real, res.abs_error_bound
+    """Minimum on (lo, hi) of the real series (``n=None``) or of its
+    degree-n section, as (min_value, argmin, error)."""
+    if n is None:
+        def fn(x: float) -> Tuple[float, float]:
+            res = evaluate(family, x, 1e-13)
+            return res.value.real, res.abs_error_bound
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        return evaluate_many(family, xs, 1e-13)[0].real
+        def batch(xs: np.ndarray) -> np.ndarray:
+            return evaluate_many(family, xs, 1e-13)[0].real
+    else:
+        def fn(x: float) -> Tuple[float, float]:
+            return section_sum(family, n, x)
 
-    return minimize_on_interval(fn, lo, hi, grid, batch)
+        def batch(xs: np.ndarray) -> np.ndarray:
+            return section_sum(family, n, xs)[0]
 
-
-def _section_value(family: SeriesFamily, n: int, x: float) -> Tuple[float, float]:
-    """Section value at real x with a summation roundoff bound."""
-    w = -x if family.alternating else x
-    term = 1.0
-    total = 1.0
-    abs_acc = 1.0
-    for k in range(1, n + 1):
-        term *= w * family.ratio(k)
-        total += term
-        abs_acc += abs(term)
-    return total, 4.0 * _EPS * (n + 1) * abs_acc
-
-
-def _section_min(
-    family: SeriesFamily, n: int, lo: float, hi: float, grid: int
-) -> Tuple[float, float, float]:
-    def fn(x: float) -> Tuple[float, float]:
-        return _section_value(family, n, x)
-
-    return minimize_on_interval(fn, lo, hi, grid)
+    return minimize_on_interval(fn, batch, lo, hi, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +247,7 @@ def sign_test_euler(a: float, grid: int = 512, tol: float = 1e-9) -> CriterionRe
     if not a > 1:
         raise ParameterError("requires a > 1")
     fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
-    v, x, e = _series_min(fam, a + 1.0, a * a + 1.0, grid)
+    v, x, e = _interval_min(fam, None, a + 1.0, a * a + 1.0, grid)
     return _sign_verdict("sign_test_euler", v, x, e, tol)
 
 
@@ -265,10 +261,7 @@ def sign_test_theta(
     if n is not None and n < 2:
         raise ParameterError("section sign test needs n >= 2")
     fam = SeriesFamily(FamilyKind.THETA, a, alternating=True)
-    if n is None:
-        v, x, e = _series_min(fam, a, a**3, grid)
-    else:
-        v, x, e = _section_min(fam, n, a, a**3, grid)
+    v, x, e = _interval_min(fam, n, a, a**3, grid)
     name = "sign_test_theta" if n is None else f"sign_test_theta_section{n}"
     return _sign_verdict(name, v, x, e, tol)
 
@@ -419,7 +412,7 @@ def six_term_certificate_values(a: float) -> Tuple[float, float, float]:
         + (64.0 / 729.0) * (q2 / (q3**4 * q4**3 * q5 * q5 * q6))
     )
     z0 = (2.0 / 3.0) * (a + 1.0) * q2
-    direct, _ = _section_value(fam, 6, z0)
+    direct, _ = section_sum(fam, 6, z0)
     poly, _ = _horner_with_error(SIX_TERM_EXPANSION_COEFFS, a)
     return closed, direct, poly
 

@@ -28,6 +28,10 @@ class TruncationError(LplabError, ArithmeticError):
         self.partial = partial
 
 
+class FloatRangeError(LplabError, ArithmeticError):
+    """A result or its error bound leaves the floating-point range."""
+
+
 class ConditioningError(LplabError, ArithmeticError):
     """A polynomial chain invariant was violated (degenerate input)."""
 

@@ -17,9 +17,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConditioningError, ParameterError
-from .series import FamilyKind, SeriesFamily
-
-_EPS = 2.220446049250313e-16
+from .series import _EPS, FamilyKind, SeriesFamily
 
 IntPoly = List[int]  # ascending coefficients, primitive, nonzero leading term
 

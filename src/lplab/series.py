@@ -20,6 +20,7 @@ term times geometric-series majorant; the same majorant backs ``tail_bound``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Tuple
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import (
     DivergentMajorantError,
+    FloatRangeError,
     InsufficientDataError,
     ParameterError,
     TruncationError,
@@ -65,9 +67,9 @@ class SeriesFamily:
                 self, "custom_log_coeffs", tuple(float(c) for c in self.custom_log_coeffs)
             )
         else:
-            if not (self.a > 1.0):
+            if not (self.a > 1.0 and math.isfinite(self.a)):
                 raise ParameterError(
-                    f"{self.kind.value} family requires a > 1, got a={self.a!r}"
+                    f"{self.kind.value} family requires finite a > 1, got a={self.a!r}"
                 )
 
     # -- coefficient ratios ------------------------------------------------
@@ -81,12 +83,15 @@ class SeriesFamily:
         if k < 1:
             raise ParameterError("ratio index must be >= 1")
         a = self.a
-        if self.kind is FamilyKind.EULER_F:
-            return 1 / (a**k + 1)
-        if self.kind is FamilyKind.THETA:
-            return a ** (1 - 2 * k)
-        if self.kind is FamilyKind.EULER_H:
-            return 1 / (a**k - 1)
+        try:
+            if self.kind is FamilyKind.EULER_F:
+                return 1 / (a**k + 1)
+            if self.kind is FamilyKind.THETA:
+                return a ** (1 - 2 * k)
+            if self.kind is FamilyKind.EULER_H:
+                return 1 / (a**k - 1)
+        except OverflowError:
+            return 0.0  # a^k beyond float range: the ratio underflows
         lc = self.custom_log_coeffs
         if k >= len(lc):
             return 0.0
@@ -190,7 +195,8 @@ def evaluate(family: SeriesFamily, z: complex, rel_tol: float = 1e-12) -> EvalRe
     for k in range(1, _TERM_CAP + 1):
         if n_custom is not None and k >= n_custom:
             # finite series summed exactly; only roundoff remains
-            return EvalResult(total, 4.0 * _EPS * k * abs_acc, k)
+            bound, terms = 4.0 * _EPS * k * abs_acc, k
+            break
         term *= w * family.ratio(k)
         total += term
         abs_acc += abs(term)
@@ -198,12 +204,16 @@ def evaluate(family: SeriesFamily, z: complex, rel_tol: float = 1e-12) -> EvalRe
         if rho < 1.0:
             tail = abs(term) * rho / (1.0 - rho)
             if tail <= rel_tol * max(1.0, abs(total)):
-                bound = tail + 4.0 * _EPS * k * abs_acc
-                return EvalResult(total, bound, k + 1)
-    raise TruncationError(
-        f"tail target not reached within {_TERM_CAP} terms at z={z!r}",
-        partial=EvalResult(total, math.inf, _TERM_CAP),
-    )
+                bound, terms = tail + 4.0 * _EPS * k * abs_acc, k + 1
+                break
+    else:
+        raise TruncationError(
+            f"tail target not reached within {_TERM_CAP} terms at z={z!r}",
+            partial=EvalResult(total, math.inf, _TERM_CAP),
+        )
+    if not math.isfinite(bound):
+        raise FloatRangeError(f"the terms overflow at z={z!r}")
+    return EvalResult(total, bound, terms)
 
 
 def evaluate_many(
@@ -228,7 +238,8 @@ def evaluate_many(
         return total, np.zeros(zs.shape)
     for k in range(1, _TERM_CAP + 1):
         if n_custom is not None and k >= n_custom:
-            return total, 4.0 * _EPS * k * abs_acc
+            bound = 4.0 * _EPS * k * abs_acc
+            break
         term = term * (w * family.ratio(k))
         total = total + term
         abs_acc = abs_acc + np.abs(term)
@@ -237,27 +248,50 @@ def evaluate_many(
             rho = absw * r_next
             tail = np.abs(term) * rho / (1.0 - rho)
             if np.all(tail <= rel_tol * np.maximum(1.0, np.abs(total))):
-                return total, tail + 4.0 * _EPS * k * abs_acc
-    raise TruncationError(
-        f"tail target not reached within {_TERM_CAP} terms (vectorized batch)"
-    )
+                bound = tail + 4.0 * _EPS * k * abs_acc
+                break
+    else:
+        raise TruncationError(
+            f"tail target not reached within {_TERM_CAP} terms (vectorized batch)"
+        )
+    if not np.all(np.isfinite(bound)):
+        raise FloatRangeError("the terms overflow (vectorized batch)")
+    return total, bound
 
 
-def evaluate_section(family: SeriesFamily, n: int, z: complex) -> complex:
-    """Exact sum of the first n+1 terms via the term recurrence (duck-typed
-    like ``evaluate``)."""
+def _complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y over complex arrays, each part rounded as in Python's complex
+    product (numpy's own may fuse it into multiply-adds)."""
+    out = np.empty_like(x)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def section_sum(family: SeriesFamily, n: int, z):
+    """Sum of the first n+1 terms (fewer if a custom family ends sooner)
+    and its roundoff bound 4 eps (n+1) sum |t_k|.  Duck-typed like
+    ``evaluate``; a numpy array gets the same roundings as its points."""
     if n < 0:
         raise ParameterError("section degree must be >= 0")
     w = -z if family.alternating else z
     term = _first_coefficient(family) * z**0
     total = term
+    abs_acc = abs(term)
     n_custom = family.n_terms
-    for k in range(1, n + 1):
-        if n_custom is not None and k >= n_custom:
-            break
-        term *= w * family.ratio(k)
-        total += term
-    return total
+    last = n if n_custom is None else min(n, n_custom - 1)
+    mul = _complex_product if np.ndim(z) and np.iscomplexobj(z) else operator.mul
+    for k in range(1, last + 1):
+        term = mul(term, w * family.ratio(k))
+        total = total + term
+        abs_acc = abs_acc + abs(term)
+    return total, 4.0 * _EPS * (n + 1) * abs_acc
+
+
+def evaluate_section(family: SeriesFamily, n: int, z: complex) -> complex:
+    """Exact sum of the first n+1 terms via the term recurrence (duck-typed
+    like ``evaluate``)."""
+    return section_sum(family, n, z)[0]
 
 
 def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:

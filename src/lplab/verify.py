@@ -28,7 +28,9 @@ from .series import (
     FamilyKind,
     SeriesFamily,
     evaluate_many,
+    quotients,
     scaled_real_value,
+    section_sum,
     tail_bound,
 )
 from .zerocount import grid_min_modulus, rho_radius
@@ -57,10 +59,6 @@ class CheckResult:
         return not self.failures
 
 
-def _q_closed(a: float, n: int) -> float:
-    return a * (1.0 + a ** (-n)) / (1.0 + a ** (1 - n))
-
-
 # ---------------------------------------------------------------------------
 # circle minimum of the degree-2 section
 # ---------------------------------------------------------------------------
@@ -71,11 +69,14 @@ def check_circle_minimum(a_grid: Sequence[float]) -> CheckResult:
     parabola discriminant, and vertex location >= 1."""
     res = CheckResult("circle_minimum", len(a_grid))
     for a in a_grid:
-        q2 = _q_closed(a, 2)
+        if not a > 1.0:
+            res.inapplicable.append({"a": a})
+            continue
+        fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
+        q2 = quotients(fam).q(2)
         if not 3.0 <= q2 < 4.0:
             res.inapplicable.append({"a": a, "q2": q2})
             continue
-        fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
         numeric = grid_min_modulus(fam, 2, a * a + 1.0, grid=512)
         res.record(1e-8 - abs(numeric - 1.0), a=a, kind="numeric_min", value=numeric)
         disc = q2 * (q2 - 1.0) ** 2 * (q2 - 4.0)
@@ -114,7 +115,7 @@ def central_block_gap(a: float, j: int) -> Tuple[float, float]:
     low-index sum, the high-index sum (both via geometric majorants) and
     the block-completion term.
     """
-    q = lambda n: _q_closed(a, n)
+    q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
     sq = math.sqrt(q(j + 1))
     lhs = q(j - 1) * q(j) * sq * (2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1))
     low = 1.0 / (1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq))
@@ -144,7 +145,7 @@ def check_block_inequalities(a: float, j_range: Tuple[int, int] = (4, 12)) -> Ch
     if not a > 3.56:
         raise ParameterError("block inequalities assume a > 3.56")
     res = CheckResult(f"block_inequalities_a={a:g}", j_hi - j_lo + 1)
-    q = lambda n: _q_closed(a, n)
+    q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
     for j in range(j_lo, j_hi + 1):
         lhs, rhs = central_block_gap(a, j)
         res.record(lhs - rhs, a=a, j=j, kind="block_domination", lhs=lhs, rhs=rhs)
@@ -175,7 +176,7 @@ def alternation_closed_margin(a: float, k: int) -> float:
     k-th block radius; nonnegative for a >= 3, k >= 4."""
     if k < 4:
         raise ParameterError("closed-form reduction needs k >= 4")
-    q = lambda n: _q_closed(a, n)
+    q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
     sq = math.sqrt(q(k + 1))
     return (
         -1.0
@@ -192,7 +193,7 @@ def alternation_block_margin(a: float, k: int) -> float:
     j = k-3 .. k+3 scaled by the first one); equals the closed form."""
     if k < 4:
         raise ParameterError("block sum needs k >= 4")
-    q = lambda n: _q_closed(a, n)
+    q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
     log_rho = sum(math.log(q(i)) for i in range(2, k + 1)) + 0.5 * math.log(q(k + 1))
 
     def log_term(j: int) -> float:
@@ -257,11 +258,7 @@ def check_positivity_interval(
         margin = float(np.min(vals.real - bnds))
         res.record(margin, a=a, kind="series_positivity", value=margin)
         for n in n_list:
-            term = np.ones_like(xs)
-            acc = np.ones_like(xs)
-            for k in range(1, n + 1):
-                term = term * (-xs) * fam.ratio(k)
-                acc = acc + term
+            acc, _ = section_sum(fam, n, xs)
             res.record(float(np.min(acc)), a=a, n=n, kind="section_positivity")
         # termwise chain at x = a + 1
         x = a + 1.0
@@ -288,8 +285,8 @@ def check_cubic_min_algebra(samples: int = 64, seed: int = 0) -> CheckResult:
     res = CheckResult("cubic_min_algebra", samples)
     for _ in range(samples):
         a = float(rng.uniform(3.6, 4.6))
-        b = _q_closed(a, 2)
-        c = _q_closed(a, 3)
+        q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
+        b, c = q(2), q(3)
         y1, y2 = cubic_critical_points(b, c)
         res.record(y1 - 1.0, a=a, kind="y1_above_1", value=y1)
         res.record(b - y1, a=a, kind="y1_below_b", value=y1)

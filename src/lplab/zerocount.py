@@ -18,14 +18,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .criteria import _golden_min
 from .errors import ParameterError, RealRootsError, ZeroOnCircleError
 from .series import (
     FamilyKind,
     SeriesFamily,
     evaluate,
     evaluate_many,
-    evaluate_section,
     quotients,
+    section_sum,
 )
 
 _START_SAMPLES = 256
@@ -155,36 +156,22 @@ def grid_min_modulus(
     if grid < 64:
         raise ParameterError("grid must be >= 64")
 
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    zs = r * np.exp(1j * thetas)
     if n_section is None:
-        def f(th: float) -> float:
-            return abs(evaluate(family, r * complex(math.cos(th), math.sin(th)), 1e-13).value)
-
-        thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-        vals = np.abs(evaluate_many(family, r * np.exp(1j * thetas), 1e-13)[0])
+        value = lambda z: evaluate(family, z, 1e-13).value
+        vals = np.abs(evaluate_many(family, zs, 1e-13)[0])
     else:
-        def f(th: float) -> float:
-            return abs(evaluate_section(family, n_section, r * complex(math.cos(th), math.sin(th))))
+        value = lambda z: section_sum(family, n_section, z)[0]
+        vals = np.abs(section_sum(family, n_section, zs)[0])
 
-        thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-        vals = np.array([f(t) for t in thetas])
+    def f(th: float) -> Tuple[float, float]:
+        return abs(value(r * complex(math.cos(th), math.sin(th)))), 0.0
 
     i = int(np.argmin(vals))
     step = 2.0 * math.pi / grid
-    lo, hi = thetas[i] - step, thetas[i] + step
-    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_gr * (hi - lo)
-    x2 = lo + inv_gr * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(90):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_gr * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_gr * (hi - lo)
-            f2 = f(x2)
-    return min(float(vals[i]), f1, f2)
+    v, _, _ = _golden_min(f, float(thetas[i] - step), float(thetas[i] + step))
+    return min(float(vals[i]), v)
 
 
 def min_modulus_on_circle(

@@ -1,8 +1,12 @@
 """CLI contract: grammar, JSON envelope, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lplab.cli import main
 
@@ -167,6 +171,82 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--family", "eulerF", "--a", "4", "--z", "1,2,3"])
     assert exc.value.code == 2
+    for argv in (
+        ["eval", "--family", "eulerF", "--a", "nan", "--z", "1"],
+        ["eval", "--family", "eulerF", "--a", "inf", "--z", "1"],
+        ["eval", "--family", "eulerF", "--a", "4", "--z", "nan"],
+        ["eval", "--family", "theta", "--a", "4", "--z", "1,-inf"],
+        ["zeros", "--a", "4", "--radius", "abc"],
+        ["zeros", "--a", "4", "--radius", "rho:x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_computation_errors_exit_1_with_json(capsys):
+    code, doc = run_json(
+        capsys, ["quotients", "--family", "theta", "--a", "1e200", "--n-max", "3"]
+    )
+    assert code == 1
+    assert doc["error_type"] == "OverflowError"
+    code, doc = run_json(
+        capsys, ["section", "--family", "eulerF", "--a", "4", "--n", "-1", "--z", "1"]
+    )
+    assert code == 1
+    assert doc["error_type"] == "ParameterError"
+    # no grid point satisfies the suite's hypothesis: no margin, not +inf
+    code, doc = run_json(capsys, ["verify", "--lemma", "rouche", "--a-grid", "2:3:3"])
+    assert code == 0
+    assert doc["result"]["worst_margin"] is None
+    assert len(doc["result"]["inapplicable"]) == 3
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["4", "1.5", "1.0000001", "1e200", "-3", "0", "abc", ""]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["eval", "section", "quotients", "zeros"]))
+    a = draw(_NUMBER)
+    if command == "zeros":
+        radius = draw(st.one_of(
+            st.floats(min_value=-1.0, max_value=50.0).map(repr),
+            st.integers(-2, 40).map(lambda j: f"rho:{j}"),
+            st.sampled_from(["1e300", "abc", "rho:x", "rho:"]),
+        ))
+        return ["zeros", "--a", a, "--radius", radius]
+    family = draw(st.sampled_from(["eulerF", "theta", "eulerH"]))
+    argv = [command, "--family", family, "--a", a]
+    if command == "quotients":
+        return argv + ["--n-max", str(draw(st.integers(-2, 60)))]
+    z = draw(_NUMBER)
+    if draw(st.booleans()):
+        z += "," + draw(_NUMBER)
+    if command == "section":
+        argv += ["--n", str(draw(st.integers(-3, 40)))]
+    return argv + ["--z", z]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_cli_argv())
+def test_no_input_ends_in_traceback_or_nonstandard_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_determinism_modulo_runtime(capsys):

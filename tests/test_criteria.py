@@ -19,6 +19,7 @@ from lplab.criteria import (
     SIX_TERM_EXPANSION_COEFFS,
     SIX_TERM_REFERENCE_COEFFS,
     Verdict,
+    _golden_min,
     classify_euler,
     cubic_aux_margin,
     cubic_critical_points,
@@ -33,7 +34,7 @@ from lplab.criteria import (
     six_term_section_test,
 )
 from lplab.errors import ParameterError, PreconditionError
-from lplab.series import FamilyKind, SeriesFamily
+from lplab.series import FamilyKind, SeriesFamily, coefficient_log
 
 TRUE_SIGN_FLIP = 3.964228020751282        # bisection on the interval minimum
 SIX_TERM_FLIP = 3.9642600256809155        # largest root of the exact expansion
@@ -73,6 +74,14 @@ def test_hutchinson_below_threshold_is_inconclusive():
 # ---------------------------------------------------------------------------
 # necessary_q2
 # ---------------------------------------------------------------------------
+
+def test_hutchinson_window_clamped_to_custom_coefficients():
+    # five coefficients define q_2..q_4 only; the default window reaches 20
+    logs = tuple(coefficient_log(SeriesFamily(FamilyKind.EULER_F, 5.0), k) for k in range(5))
+    rep = hutchinson_test(SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=logs))
+    assert rep.verdict is Verdict.INAPPLICABLE
+    assert rep.margin == pytest.approx(26.0 / 6.0 - 4.0, rel=1e-12)  # q_2 - 4
+
 
 def test_necessary_q2_rejects_small_parameter():
     rep = necessary_q2(eulerF(3.0))
@@ -150,6 +159,20 @@ def test_sign_test_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 # cubic-section threshold machinery
 # ---------------------------------------------------------------------------
+
+def test_golden_min_stops_when_bracket_collapses():
+    m = 3.7
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return (x - m) ** 2, 0.5
+
+    v, x, e = _golden_min(fn, m - 0.004, m + 0.003)
+    assert len(calls) < 70  # the 90-step cap alone would make 92
+    assert abs(x - m) <= 4 * math.ulp(m)
+    assert (v, e) == ((x - m) ** 2, 0.5)
+
 
 def test_cubic_section_threshold_value():
     assert cubic_section_threshold() == pytest.approx(3.9015496781605448, abs=1e-10)

@@ -8,6 +8,7 @@ import pytest
 
 from lplab.errors import (
     DivergentMajorantError,
+    FloatRangeError,
     InsufficientDataError,
     ParameterError,
     TruncationError,
@@ -21,6 +22,7 @@ from lplab.series import (
     evaluate_section,
     quotients,
     scaled_real_value,
+    section_sum,
     tail_bound,
 )
 
@@ -78,8 +80,30 @@ def test_coefficient_log_rejects_bad_parameters():
         eulerF(1.0)
     with pytest.raises(ParameterError):
         eulerF(0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            theta(bad)
     with pytest.raises(ParameterError):
         coefficient_log(eulerF(2.0), -1)
+
+
+def test_overflowing_terms_raise_instead_of_returning_inf():
+    with pytest.raises(FloatRangeError):
+        evaluate(theta(1.01), 1e6)
+    slow = SeriesFamily(
+        FamilyKind.CUSTOM, custom_log_coeffs=tuple(-0.001 * k for k in range(2000))
+    )
+    with pytest.raises(FloatRangeError):
+        evaluate(slow, 1e300)
+    with pytest.raises(FloatRangeError):
+        evaluate_many(slow, np.array([1e300, 2.0]))
+
+
+def test_ratio_underflows_where_a_power_overflows():
+    # a^k beyond float range: the ratio is 0.0, not an OverflowError
+    assert eulerF(1e200).ratio(2) == 0.0
+    assert eulerH(1e200).ratio(2) == 0.0
+    assert evaluate(eulerF(1e200), 3.0).value == 1.0 + 3.0 / (1e200 + 1.0)
 
 
 @pytest.mark.parametrize("fam", [eulerF(4.0), theta(2.0), eulerH(3.0)])
@@ -184,6 +208,38 @@ def test_section_examples():
     # at z = a^2 + 1 the two-term cancellation leaves exactly 1
     assert evaluate_section(eulerF(4.0, alternating=True), 2, 17.0) == pytest.approx(1.0, rel=1e-14)
     assert evaluate_section(theta(2.0), 2, 1.0) == pytest.approx(1.5625, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        eulerF(3.7, alternating=True),
+        eulerF(3.7),
+        theta(1.8, alternating=True),
+        theta(1.8),
+        SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.3, -1.0, -2.5, -4.5),
+                     alternating=True),
+    ],
+)
+def test_section_sum_batch_equals_pointwise(fam):
+    # the batched grid replaces pointwise evaluate_section calls in the
+    # minimizers, so it must give the same floats, not merely close ones
+    xs = np.linspace(0.5, 20.0, 97)
+    zs = 6.0 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 97, endpoint=False))
+    for n in (0, 2, 5, 9):  # the custom family has 4 coefficients
+        for pts in (xs, zs):
+            vals = section_sum(fam, n, pts)[0]
+            assert vals.tolist() == [evaluate_section(fam, n, p) for p in pts.tolist()]
+
+
+def test_section_sum_roundoff_bound_and_degree():
+    fam = eulerF(4.0, alternating=True)
+    value, bound = section_sum(fam, 2, 17.0)
+    assert value == evaluate_section(fam, 2, 17.0)
+    # terms 1, 17/5, 289/85
+    assert bound == pytest.approx(4.0 * np.finfo(float).eps * 3 * (1.0 + 3.4 + 3.4))
+    with pytest.raises(ParameterError):
+        section_sum(fam, -1, 1.0)
 
 
 def test_section_full_consistency_with_tail_bound():
