@@ -26,6 +26,7 @@ from .constants import c_n, critical_a, q_infinity, threshold_table, transition_
 from .errors import FloatRangeError, LplabError
 from .series import FamilyKind, SeriesFamily, evaluate, quotients, section_sum
 from .verify import (
+    CheckResult,
     check_block_inequalities,
     check_circle_minimum,
     check_cubic_min_algebra,
@@ -306,15 +307,9 @@ def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
     elif args.lemma == "rouche":
         res = check_tail_gap(grid or _parse_grid("3.2:4.6:8"))
     elif args.lemma == "3":
-        parts = [check_block_inequalities(a, (4, 12)) for a in (grid or [4.0])]
-        merged = parts[0]
-        for extra in parts[1:]:
-            merged.failures.extend(extra.failures)
-            merged.inapplicable.extend(extra.inapplicable)
-            merged.grid_points += extra.grid_points
-            merged.worst_margin = min(merged.worst_margin, extra.worst_margin)
-        merged.name = "block_inequalities"
-        res = merged
+        res = CheckResult("block_inequalities", 0)
+        for a in grid or [4.0]:
+            res.absorb(check_block_inequalities(a, (4, 12)))
     elif args.lemma == "6":
         res = check_sign_alternation(grid or _parse_grid("3.0:4.6:5"), k_max=20)
     elif args.lemma == "positivity":

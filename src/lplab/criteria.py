@@ -219,10 +219,10 @@ def _interval_min(
     if n is None:
         def fn(x: float) -> Tuple[float, float]:
             res = evaluate(family, x, 1e-13)
-            return res.value.real, res.abs_error_bound
+            return res.value, res.abs_error_bound
 
         def batch(xs: np.ndarray) -> np.ndarray:
-            return evaluate_many(family, xs, 1e-13)[0].real
+            return evaluate_many(family, xs, 1e-13)[0]
     else:
         def fn(x: float) -> Tuple[float, float]:
             return section_sum(family, n, x)

@@ -12,8 +12,9 @@ so sign variation counts are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, ulp
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConditioningError, ParameterError
@@ -41,6 +42,12 @@ class RealPolynomial:
         if not cs:
             raise ParameterError("zero polynomial")
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @cached_property
+    def _square_free_ints(self) -> IntPoly:
+        """The square-free part as a primitive integer vector, computed once
+        for isolation, refinement and counting."""
+        return _square_free(_to_int_poly(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -73,14 +80,13 @@ class RootBracket:
 # ---------------------------------------------------------------------------
 
 def _to_int_poly(coeffs: Sequence[float]) -> IntPoly:
-    fracs = [Fraction(float(c)) for c in coeffs]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    return _primitive(ints)
+    return _integral([Fraction(float(c)) for c in coeffs])
+
+
+def _integral(fracs: Sequence[Fraction]) -> IntPoly:
+    """The primitive integer vector along ``fracs`` (a positive multiple)."""
+    denom_lcm = lcm(*(f.denominator for f in fracs))
+    return _primitive([f.numerator * (denom_lcm // f.denominator) for f in fracs])
 
 
 def _primitive(p: List[int]) -> IntPoly:
@@ -103,24 +109,26 @@ def _eval_fr(p: Sequence[int], x: Fraction) -> Fraction:
     return acc
 
 
-def _rem(a: List[int], b: IntPoly) -> IntPoly:
-    """Primitive integer remainder of a / b (positive scaling only)."""
+def _divide(a: Sequence[int], b: IntPoly) -> Tuple[List[Fraction], List[Fraction]]:
+    """Quotient and remainder of a / b by long division in rationals."""
     r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
     bl = Fraction(b[-1])
     db = len(b) - 1
     while len(r) - 1 >= db and any(r):
         dr = len(r) - 1
         f = r[-1] / bl
+        q[dr - db] = f
         for i in range(db + 1):
             r[dr - db + i] -= f * b[i]
         while r and r[-1] == 0:
             r.pop()
-    if not r:
-        return []
-    denom_lcm = 1
-    for f in r:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    return _primitive([int(f * denom_lcm) for f in r])
+    return q, r
+
+
+def _rem(a: List[int], b: IntPoly) -> IntPoly:
+    """Primitive integer remainder of a / b (positive scaling only)."""
+    return _integral(_divide(a, b)[1])
 
 
 def _sturm_chain(p: IntPoly) -> List[IntPoly]:
@@ -142,10 +150,10 @@ def _square_free(p: IntPoly) -> IntPoly:
     g = _gcd_poly(p, _deriv(p))
     if len(g) == 1:
         return p[:]
-    q = _exact_div(p, g)
+    q = _integral(_divide(p, g)[0])
     if q[-1] * p[-1] < 0:
         q = [-c for c in q]
-    return _primitive(q)
+    return q
 
 
 def _gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -155,26 +163,6 @@ def _gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
     while b:
         a, b = b, _rem(a, b)
     return _primitive(a)
-
-
-def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a / b when the division is exact."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    bl = Fraction(b[-1])
-    db = len(b) - 1
-    while len(r) - 1 >= db and any(r):
-        dr = len(r) - 1
-        f = r[-1] / bl
-        q[dr - db] = f
-        for i in range(db + 1):
-            r[dr - db + i] -= f * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    denom_lcm = 1
-    for f in q:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    return [int(f * denom_lcm) for f in q]
 
 
 def _variations(signs: List[int]) -> int:
@@ -229,7 +217,7 @@ def isolate_real_roots(
         raise ParameterError("interval must satisfy lo < hi")
     if p.degree == 0:
         return []
-    ps = _square_free(_to_int_poly(p.coeffs))
+    ps = p._square_free_ints
     if len(ps) <= 1:
         return []
     chain = _sturm_chain(ps)
@@ -263,16 +251,18 @@ def refine(p: RealPolynomial, bracket: RootBracket, tol: float) -> float:
     """Bisect a certified bracket down to width <= tol; returns the midpoint.
 
     Signs are evaluated exactly on the square-free part, so the shrink is
-    monotone and never exits the original bracket.
+    monotone and never exits the original bracket.  A tol below the float
+    spacing at the bracket ends counts as that spacing: a narrower bracket
+    has the same float midpoint as one of its ends.
     """
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    ps = _square_free(_to_int_poly(p.coeffs))
+    ps = p._square_free_ints
     lo, hi = Fraction(bracket.lo), Fraction(bracket.hi)
     s_lo = _sign_fr(_eval_fr(ps, lo))
     if s_lo == 0 or s_lo * _sign_fr(_eval_fr(ps, hi)) != -1:
         raise ParameterError("bracket does not straddle a sign change of p")
-    while float(hi - lo) > tol:
+    while float(hi - lo) > max(tol, min(ulp(float(lo)), ulp(float(hi)))):
         mid = (lo + hi) / 2
         sm = _sign_fr(_eval_fr(ps, mid))
         if sm == 0:
@@ -309,7 +299,7 @@ def _real_count_with_multiplicity(p: IntPoly) -> int:
 
 def count_real_roots(p: RealPolynomial, interval: Optional[Tuple[float, float]] = None) -> int:
     """Distinct real roots of p, over an interval or the whole line."""
-    ps = _square_free(_to_int_poly(p.coeffs))
+    ps = p._square_free_ints
     if len(ps) <= 1:
         return 0
     chain = _sturm_chain(ps)

@@ -169,6 +169,89 @@ def _first_coefficient(family: SeriesFamily) -> float:
     return 1  # int: multiplying it never forces a scalar type change
 
 
+def _itself(v):
+    return v
+
+
+def _array_max(v: np.ndarray) -> float:
+    return v.max(initial=0.0)
+
+
+def _complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y over complex arrays, each part rounded as in Python's complex
+    product (numpy's own may fuse it into multiply-adds)."""
+    out = np.empty_like(x)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _where(z) -> str:
+    return "(vectorized batch)" if isinstance(z, np.ndarray) else f"at z={z!r}"
+
+
+def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12):
+    """The one loop over the term recurrence t_k = t_{k-1} * w * a_k/a_{k-1},
+    w = -z for an alternating family; returns (total, bound, terms_used).
+
+    ``z`` is a Python scalar of any numeric type, summed at its own
+    precision, or a numpy array, summed pointwise.  With ``n`` it sums the
+    degree-n section (fewer terms if a custom family ends sooner), with the
+    roundoff bound 4 eps (n+1) sum |t_k|; with ``n=None`` the full series,
+    until ``evaluate``'s stop rule holds at every point.  Terms beyond the
+    float range raise ``FloatRangeError``.
+    """
+    if n is None:
+        if not rel_tol > 0:
+            raise ParameterError("rel_tol must be positive")
+    elif n < 0:
+        raise ParameterError("section degree must be >= 0")
+    batch = isinstance(z, np.ndarray)
+    # a batch reduces over its points; a scalar loop makes no numpy call
+    top, larger = (_array_max, np.maximum) if batch else (_itself, max)
+    mul = _complex_product if batch and n is not None and np.iscomplexobj(z) else operator.mul
+    last = _TERM_CAP if n is None else n
+    if family.n_terms is not None:
+        last = min(last, family.n_terms - 1)
+    try:
+        w = -z if family.alternating else z
+        term = _first_coefficient(family) * z**0
+        total, abs_acc = term, abs(term)
+        if n is None:
+            absw = abs(w)
+            wmax = top(absw)
+            if wmax == 0:
+                return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
+        r = family.ratio(1)
+        for k in range(1, last + 1):
+            term = mul(term, w * r)
+            total = total + term
+            abs_acc = abs_acc + abs(term)
+            r = family.ratio(k + 1)
+            if n is None and wmax * r < 1.0:
+                rho = absw * r
+                tail = abs(term) * rho / (1.0 - rho)
+                excess = top(tail - rel_tol * larger(1.0, abs(total)))
+                if excess <= 0:
+                    bound, terms = tail + 4.0 * _EPS * k * abs_acc, k + 1
+                    break
+                if not (excess < math.inf or top(abs_acc) < math.inf):
+                    raise FloatRangeError(f"the terms overflow {_where(z)}")
+        else:
+            terms = last + 1
+            if n is None and terms > _TERM_CAP:
+                raise TruncationError(
+                    f"tail target not reached within {_TERM_CAP} terms {_where(z)}",
+                    partial=EvalResult(total, math.inf, _TERM_CAP),
+                )
+            bound = 4.0 * _EPS * (terms if n is None else n + 1) * abs_acc
+    except OverflowError:
+        raise FloatRangeError(f"the terms overflow {_where(z)}") from None
+    if not top(bound) < math.inf:
+        raise FloatRangeError(f"the terms overflow {_where(z)}")
+    return total, bound, terms
+
+
 def evaluate(family: SeriesFamily, z: complex, rel_tol: float = 1e-12) -> EvalResult:
     """Sum the series at ``z`` until a geometric tail majorant certifies it.
 
@@ -182,38 +265,7 @@ def evaluate(family: SeriesFamily, z: complex, rel_tol: float = 1e-12) -> EvalRe
     (paired with a matching family parameter ``a``) runs the whole sum at
     that precision.
     """
-    if not rel_tol > 0:
-        raise ParameterError("rel_tol must be positive")
-    w = -z if family.alternating else z
-    term = _first_coefficient(family) * z**0
-    total = term
-    abs_acc = abs(term)
-    if z == 0:
-        return EvalResult(total, 0.0, 1)
-    n_custom = family.n_terms
-    absw = abs(w)
-    for k in range(1, _TERM_CAP + 1):
-        if n_custom is not None and k >= n_custom:
-            # finite series summed exactly; only roundoff remains
-            bound, terms = 4.0 * _EPS * k * abs_acc, k
-            break
-        term *= w * family.ratio(k)
-        total += term
-        abs_acc += abs(term)
-        rho = absw * family.ratio(k + 1)
-        if rho < 1.0:
-            tail = abs(term) * rho / (1.0 - rho)
-            if tail <= rel_tol * max(1.0, abs(total)):
-                bound, terms = tail + 4.0 * _EPS * k * abs_acc, k + 1
-                break
-    else:
-        raise TruncationError(
-            f"tail target not reached within {_TERM_CAP} terms at z={z!r}",
-            partial=EvalResult(total, math.inf, _TERM_CAP),
-        )
-    if not math.isfinite(bound):
-        raise FloatRangeError(f"the terms overflow at z={z!r}")
-    return EvalResult(total, bound, terms)
+    return EvalResult(*_term_sum(family, z, None, rel_tol))
 
 
 def evaluate_many(
@@ -221,77 +273,23 @@ def evaluate_many(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized ``evaluate`` over an array of points.
 
-    Same recurrence and stop rule as the scalar path, driven by the largest
-    |z| in the batch; returns (values, per-point error bounds).
+    Same recurrence and stop rule as the scalar path, run until every point
+    meets it; returns (values, per-point error bounds).
     """
-    if not rel_tol > 0:
-        raise ParameterError("rel_tol must be positive")
-    zs = np.asarray(zs, dtype=complex)
-    w = -zs if family.alternating else zs
-    term = np.full(zs.shape, complex(_first_coefficient(family)))
-    total = term.copy()
-    abs_acc = np.abs(term)
-    absw = np.abs(w)
-    wmax = float(np.max(absw)) if zs.size else 0.0
-    n_custom = family.n_terms
-    if wmax == 0.0 or (n_custom is not None and n_custom == 1):
-        return total, np.zeros(zs.shape)
-    for k in range(1, _TERM_CAP + 1):
-        if n_custom is not None and k >= n_custom:
-            bound = 4.0 * _EPS * k * abs_acc
-            break
-        term = term * (w * family.ratio(k))
-        total = total + term
-        abs_acc = abs_acc + np.abs(term)
-        r_next = family.ratio(k + 1)
-        if wmax * r_next < 1.0:
-            rho = absw * r_next
-            tail = np.abs(term) * rho / (1.0 - rho)
-            if np.all(tail <= rel_tol * np.maximum(1.0, np.abs(total))):
-                bound = tail + 4.0 * _EPS * k * abs_acc
-                break
-    else:
-        raise TruncationError(
-            f"tail target not reached within {_TERM_CAP} terms (vectorized batch)"
-        )
-    if not np.all(np.isfinite(bound)):
-        raise FloatRangeError("the terms overflow (vectorized batch)")
-    return total, bound
-
-
-def _complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y over complex arrays, each part rounded as in Python's complex
-    product (numpy's own may fuse it into multiply-adds)."""
-    out = np.empty_like(x)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
+    return _term_sum(family, np.asarray(zs), None, rel_tol)[:2]
 
 
 def section_sum(family: SeriesFamily, n: int, z):
     """Sum of the first n+1 terms (fewer if a custom family ends sooner)
     and its roundoff bound 4 eps (n+1) sum |t_k|.  Duck-typed like
     ``evaluate``; a numpy array gets the same roundings as its points."""
-    if n < 0:
-        raise ParameterError("section degree must be >= 0")
-    w = -z if family.alternating else z
-    term = _first_coefficient(family) * z**0
-    total = term
-    abs_acc = abs(term)
-    n_custom = family.n_terms
-    last = n if n_custom is None else min(n, n_custom - 1)
-    mul = _complex_product if np.ndim(z) and np.iscomplexobj(z) else operator.mul
-    for k in range(1, last + 1):
-        term = mul(term, w * family.ratio(k))
-        total = total + term
-        abs_acc = abs_acc + abs(term)
-    return total, 4.0 * _EPS * (n + 1) * abs_acc
+    return _term_sum(family, z, n)[:2]
 
 
 def evaluate_section(family: SeriesFamily, n: int, z: complex) -> complex:
     """Exact sum of the first n+1 terms via the term recurrence (duck-typed
     like ``evaluate``)."""
-    return section_sum(family, n, z)[0]
+    return _term_sum(family, z, n)[0]
 
 
 def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:
@@ -325,74 +323,73 @@ def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:
     return math.exp(log_first) / (1.0 - rho)
 
 
+def _indexed(name: str, least: int, fn: Callable[[int], float]) -> Callable[[int], float]:
+    """``fn`` behind the check n >= least; a result beyond the float range
+    raises ``FloatRangeError``."""
+
+    def value(n: int) -> float:
+        if n < least:
+            raise ParameterError(f"{name}(n) is defined for n >= {least}")
+        try:
+            return fn(n)
+        except OverflowError:
+            raise FloatRangeError(f"{name}({n}) is beyond the float range") from None
+
+    return value
+
+
 def quotients(family: SeriesFamily) -> QuotientView:
     """Closed-form quotient view for named kinds, numeric for custom ones."""
     a = family.a
-
-    def _check_p(n: int) -> None:
-        if n < 1:
-            raise ParameterError("p(n) is defined for n >= 1")
-
-    def _check_q(n: int) -> None:
-        if n < 2:
-            raise ParameterError("q(n) is defined for n >= 2")
-
     if family.kind is FamilyKind.EULER_F:
 
         def p(n: int) -> float:
-            _check_p(n)
             return a**n + 1.0
 
         def q(n: int) -> float:
-            _check_q(n)
             # (a^n+1)/(a^{n-1}+1) in a form that never overflows
             return a * (1.0 + a ** (-n)) / (1.0 + a ** (1 - n))
 
-        return QuotientView(family, p, q, limit=a, monotonicity="increasing")
-
-    if family.kind is FamilyKind.THETA:
+        limit, monotonicity = a, "increasing"
+    elif family.kind is FamilyKind.THETA:
 
         def p(n: int) -> float:
-            _check_p(n)
             return a ** (2 * n - 1)
 
         def q(n: int) -> float:
-            _check_q(n)
             return a * a
 
-        return QuotientView(family, p, q, limit=a * a, monotonicity="constant")
-
-    if family.kind is FamilyKind.EULER_H:
+        limit, monotonicity = a * a, "constant"
+    elif family.kind is FamilyKind.EULER_H:
 
         def p(n: int) -> float:
-            _check_p(n)
             return a**n - 1.0
 
         def q(n: int) -> float:
-            _check_q(n)
             return a * (1.0 - a ** (-n)) / (1.0 - a ** (1 - n))
 
-        return QuotientView(family, p, q, limit=a, monotonicity="decreasing")
+        limit, monotonicity = a, "decreasing"
+    else:
+        lc = family.custom_log_coeffs
+        if len(lc) < 3:
+            raise InsufficientDataError(
+                "quotients need at least 3 custom coefficients, got " + str(len(lc))
+            )
 
-    lc = family.custom_log_coeffs
-    if len(lc) < 3:
-        raise InsufficientDataError(
-            "quotients need at least 3 custom coefficients, got " + str(len(lc))
-        )
+        def p(n: int) -> float:
+            if n >= len(lc):
+                raise ParameterError(f"p({n}) outside custom range")
+            return math.exp(lc[n - 1] - lc[n])
 
-    def p(n: int) -> float:
-        _check_p(n)
-        if n >= len(lc):
-            raise ParameterError(f"p({n}) outside custom range")
-        return math.exp(lc[n - 1] - lc[n])
+        def q(n: int) -> float:
+            if n >= len(lc):
+                raise ParameterError(f"q({n}) outside custom range")
+            return math.exp(2.0 * lc[n - 1] - lc[n - 2] - lc[n])
 
-    def q(n: int) -> float:
-        _check_q(n)
-        if n >= len(lc):
-            raise ParameterError(f"q({n}) outside custom range")
-        return math.exp(2.0 * lc[n - 1] - lc[n - 2] - lc[n])
-
-    return QuotientView(family, p, q, limit=None, monotonicity="unknown")
+        limit, monotonicity = None, "unknown"
+    return QuotientView(
+        family, _indexed("p", 1, p), _indexed("q", 2, q), limit, monotonicity
+    )
 
 
 def scaled_real_value(

@@ -58,6 +58,13 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.failures
 
+    def absorb(self, other: "CheckResult") -> None:
+        """Fold another suite run into this one, as one run over both grids."""
+        self.grid_points += other.grid_points
+        self.failures += other.failures
+        self.inapplicable += other.inapplicable
+        self.worst_margin = min(self.worst_margin, other.worst_margin)
+
 
 # ---------------------------------------------------------------------------
 # circle minimum of the degree-2 section
@@ -255,7 +262,7 @@ def check_positivity_interval(
         fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
         xs = np.linspace(0.0, a + 1.0, _GRID_DENSITY)
         vals, bnds = evaluate_many(fam, xs, 1e-13)
-        margin = float(np.min(vals.real - bnds))
+        margin = float(np.min(vals - bnds))
         res.record(margin, a=a, kind="series_positivity", value=margin)
         for n in n_list:
             acc, _ = section_sum(fam, n, xs)

@@ -13,13 +13,14 @@ back to the z-plane of the alternating series is z = p_1 * u.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .criteria import _golden_min
-from .errors import ParameterError, RealRootsError, ZeroOnCircleError
+from .errors import FloatRangeError, ParameterError, RealRootsError, ZeroOnCircleError
 from .series import (
     FamilyKind,
     SeriesFamily,
@@ -33,6 +34,7 @@ _START_SAMPLES = 256
 _MAX_SAMPLES = 2**20
 _RESIDUAL_LIMIT = 0.05  # turns
 _MODULUS_SAFETY = 10.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,8 @@ def rho_radius(family: SeriesFamily, j: int) -> float:
     for i in range(2, j + 1):
         log_rho += math.log(qv.q(i))
     log_rho += 0.5 * math.log(qv.q(j + 1))
+    if not log_rho <= _LOG_FLOAT_MAX:
+        raise FloatRangeError(f"rho_{j} is beyond the float range (ln rho = {log_rho:.6g})")
     return math.exp(log_rho)
 
 

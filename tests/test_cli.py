@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lplab.cli import main
+from lplab.verify import check_block_inequalities
 
 
 def run_json(capsys, argv):
@@ -152,6 +153,17 @@ def test_verify_suites(capsys):
     assert doc["result"]["passed"] is True
 
 
+def test_verify_block_inequalities_over_an_a_grid(capsys):
+    code, doc = run_json(capsys, ["verify", "--lemma", "3", "--a-grid", "3.6:4.6:3"])
+    assert code == 0
+    parts = [check_block_inequalities(a, (4, 12)) for a in doc["inputs"]["a_grid"]]
+    res = doc["result"]
+    assert res["suite"] == "block_inequalities"
+    assert res["passed"] and res["failures"] == [] and res["inapplicable"] == []
+    assert res["grid_points"] == sum(p.grid_points for p in parts) == 27
+    assert res["worst_margin"] == min(p.worst_margin for p in parts)
+
+
 def test_scan_conjecture(capsys):
     code, doc = run_json(
         capsys, ["scan-conjecture", "--a-lo", "3.9", "--a-hi", "4.0", "--steps", "12"]
@@ -189,7 +201,11 @@ def test_computation_errors_exit_1_with_json(capsys):
         capsys, ["quotients", "--family", "theta", "--a", "1e200", "--n-max", "3"]
     )
     assert code == 1
-    assert doc["error_type"] == "OverflowError"
+    assert doc["error_type"] == "FloatRangeError"
+    # the terms overflow before they decay: a range error, not a truncation
+    code, doc = run_json(capsys, ["eval", "--family", "theta", "--a", "1.01", "--z", "1e6"])
+    assert code == 1
+    assert doc["error_type"] == "FloatRangeError"
     code, doc = run_json(
         capsys, ["section", "--family", "eulerF", "--a", "4", "--n", "-1", "--z", "1"]
     )

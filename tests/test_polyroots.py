@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lplab import polyroots
 from lplab.errors import ParameterError
 from lplab.polyroots import (
     RealPolynomial,
@@ -20,6 +21,40 @@ from lplab.series import FamilyKind, SeriesFamily, evaluate_section
 SEPTIC = RealPolynomial((-1, 0, -3, -1, -1, 0, -3, 1))
 OCTIC = RealPolynomial((-16, -40, -43, -28, -21, 12, 15, -8, 1))
 QUINTIC = RealPolynomial((-2.0 / 9.0, 1.8, 0, 0, -2, 1))
+
+
+def _sign_at(p, x):
+    v = sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(p.coeffs))
+    return (v > 0) - (v < 0)
+
+
+def test_refine_stops_at_the_float_spacing(monkeypatch):
+    # the largest root (about 2.19e6) of the degree-12 eulerF section at
+    # a = 4: a tol of 1e-12 is far below the float spacing there (4.7e-10)
+    p = section_polynomial(SeriesFamily(FamilyKind.EULER_F, 4.0), 12)
+    br = isolate_real_roots(p, (-1e7, 1e7))[-1]
+    evals = []
+    eval_fr = polyroots._eval_fr
+    monkeypatch.setattr(polyroots, "_eval_fr", lambda q, x: evals.append(x) or eval_fr(q, x))
+    x = refine(p, br, 1e-12)
+    assert 2.1e6 < x < 2.2e6
+    # two end signs, then one per halving from the bracket width down to
+    # the spacing, not on down to 1e-12
+    assert len(evals) <= 2 + math.ceil(math.log2((br.hi - br.lo) / math.ulp(x))) + 1
+    u = math.ulp(x)
+    assert _sign_at(p, x - 4 * u) * _sign_at(p, x + 4 * u) == -1
+
+
+def test_square_free_form_is_computed_once_per_polynomial(monkeypatch):
+    calls = []
+    square_free = polyroots._square_free
+    monkeypatch.setattr(polyroots, "_square_free", lambda q: calls.append(1) or square_free(q))
+    p = section_polynomial(SeriesFamily(FamilyKind.EULER_F, 4.0), 12)
+    brackets = isolate_real_roots(p, (-1e7, 1e7))
+    for br in brackets:
+        refine(p, br, 1e-12 * max(1.0, abs(br.lo), abs(br.hi)))
+    assert count_real_roots(p) == len(brackets) == 12
+    assert len(calls) == 1
 
 
 def test_isolate_simple_cases():

@@ -99,6 +99,36 @@ def test_overflowing_terms_raise_instead_of_returning_inf():
         evaluate_many(slow, np.array([1e300, 2.0]))
 
 
+def test_overflow_stops_the_sum_where_the_terms_leave_float_range(monkeypatch):
+    # theta(1.01) at |z| = 1e6 overflows before its terms start to decay
+    # (k ~ 695); the sum stops there, not at the 10,000-term cap
+    steps = []
+    ratio = SeriesFamily.ratio
+    monkeypatch.setattr(SeriesFamily, "ratio", lambda fam, k: steps.append(k) or ratio(fam, k))
+    fam = theta(1.01)
+    for call, z in (
+        (evaluate, complex(1e6, 1.0)),
+        (evaluate_many, np.array([1e6, 2.0])),
+        (evaluate_many, np.array([1e6, 2.0], dtype=complex)),
+    ):
+        steps.clear()
+        with pytest.raises(FloatRangeError):
+            call(fam, z)
+        assert len(steps) < 1000
+
+
+def test_complex_abs_overflow_is_a_float_range_error():
+    # abs() of the overflowed complex term raises OverflowError in CPython
+    with pytest.raises(FloatRangeError):
+        evaluate(eulerF(1.5), complex(33695141190, 0))
+
+
+def test_quotient_overflow_is_a_float_range_error():
+    for fam in (theta(1e200), eulerF(1e200), eulerH(1e200)):
+        with pytest.raises(FloatRangeError):
+            quotients(fam).p(2)
+
+
 def test_ratio_underflows_where_a_power_overflows():
     # a^k beyond float range: the ratio is 0.0, not an OverflowError
     assert eulerF(1e200).ratio(2) == 0.0
@@ -182,12 +212,22 @@ def test_evaluate_certificate_randomized():
 
 def test_evaluate_many_matches_scalar():
     fam = eulerF(4.0, alternating=True)
-    zs = np.array([1.0 + 2.0j, -3.0, 10.0, 0.5j])
-    vals, bnds = evaluate_many(fam, zs, rel_tol=1e-13)
-    for z, v, b in zip(zs, vals, bnds):
-        res = evaluate(fam, complex(z), rel_tol=1e-13)
-        assert abs(v - res.value) <= 1e-13 * max(1.0, abs(res.value))
-        assert b >= 0.0
+    for zs in (np.array([1.0 + 2.0j, -3.0, 10.0, 0.5j]), np.array([-3.0, 10.0, 0.5])):
+        vals, bnds = evaluate_many(fam, zs, rel_tol=1e-13)
+        assert vals.dtype == zs.dtype  # real points give real values
+        for z, v, b in zip(zs, vals, bnds):
+            res = evaluate(fam, z.item(), rel_tol=1e-13)
+            assert abs(v - res.value) <= 1e-13 * max(1.0, abs(res.value))
+            assert b >= 0.0
+
+
+def test_single_coefficient_family_bound_is_the_same_for_points_and_batches():
+    fam = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.5,))
+    res = evaluate(fam, 3.0)
+    vals, bnds = evaluate_many(fam, np.array([3.0, -2.0]))
+    assert vals.tolist() == [res.value] * 2
+    assert bnds.tolist() == [res.abs_error_bound] * 2
+    assert res.abs_error_bound > 0.0
 
 
 def test_evaluate_truncation_failure_carries_partial():

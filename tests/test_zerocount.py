@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lplab.errors import ParameterError, RealRootsError
+from lplab.errors import FloatRangeError, ParameterError, RealRootsError
 from lplab.polyroots import section_polynomial
 from lplab.series import FamilyKind, SeriesFamily
 from lplab.zerocount import (
@@ -43,6 +43,12 @@ def test_rho_radius_closed_forms():
     assert rho_radius(theta(2.0), 2) == pytest.approx(8.0, rel=1e-13)
     # empty-product convention for j=1
     assert rho_radius(eulerF(4.0), 1) == pytest.approx(math.sqrt(3.4), rel=1e-13)
+
+
+def test_rho_radius_beyond_float_range_is_a_float_range_error():
+    # ln rho_6 = 5.5 ln(1e60) + ... exceeds ln(float max) = 709.78
+    with pytest.raises(FloatRangeError):
+        rho_radius(eulerF(1e60), 6)
 
 
 def test_rho_radius_sandwich_and_monotone():
