@@ -1,23 +1,24 @@
-"""Certified real-root isolation and real-rootedness tests.
+"""Certified real-root isolation and real-rootedness tests, over the integers.
 
-Sturm sequences are computed in exact rational arithmetic: float
-coefficients are dyadic rationals, so converting them through
-``fractions.Fraction`` is lossless and every sign count below is a
-certificate for the polynomial actually given (not for a nearby one).
-Chain elements are renormalized to primitive integer vectors after each
-remainder step to keep word sizes small; only positive scalings are used,
-so sign variation counts are unaffected.
+Float coefficients are dyadic rationals, so a polynomial converts losslessly
+to a primitive integer vector, and every point evaluated below (a float
+endpoint, a bisection midpoint, a step off an exact root) is a dyadic
+m / 2^e.  The sign of p(m / 2^e) is that of the integer 2^(e deg p) p(m / 2^e),
+one Horner pass, so every sign count is a certificate for the polynomial
+actually given (not for a nearby one).  Sturm chains and gcds are primitive
+pseudo-remainder sequences: integer pseudo-division, each remainder reduced
+to its primitive part.  Only positive scalings are used, so sign variation
+counts are unaffected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from math import gcd, lcm, ulp
+from math import gcd, ulp
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ConditioningError, ParameterError
+from .errors import ParameterError
 from .series import _EPS, FamilyKind, SeriesFamily
 
 IntPoly = List[int]  # ascending coefficients, primitive, nonzero leading term
@@ -46,7 +47,7 @@ class RealPolynomial:
     @cached_property
     def _square_free_ints(self) -> IntPoly:
         """The square-free part as a primitive integer vector, computed once
-        for isolation, refinement and counting."""
+        for isolation, refinement, counting and the real-rootedness test."""
         return _square_free(_to_int_poly(self.coeffs))
 
     @property
@@ -60,7 +61,7 @@ class RealPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootBracket:
     """An interval certified to contain exactly one distinct real root.
 
@@ -80,13 +81,9 @@ class RootBracket:
 # ---------------------------------------------------------------------------
 
 def _to_int_poly(coeffs: Sequence[float]) -> IntPoly:
-    return _integral([Fraction(float(c)) for c in coeffs])
-
-
-def _integral(fracs: Sequence[Fraction]) -> IntPoly:
-    """The primitive integer vector along ``fracs`` (a positive multiple)."""
-    denom_lcm = lcm(*(f.denominator for f in fracs))
-    return _primitive([f.numerator * (denom_lcm // f.denominator) for f in fracs])
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    den = max(d for _, d in ratios)  # powers of two: the largest is the lcm
+    return _primitive([n * (den // d) for n, d in ratios])
 
 
 def _primitive(p: List[int]) -> IntPoly:
@@ -102,58 +99,70 @@ def _deriv(p: IntPoly) -> IntPoly:
     return _primitive([k * c for k, c in enumerate(p)][1:])
 
 
-def _eval_fr(p: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _dyadic(x: float) -> Tuple[int, int]:
+    """(m, e) with x = m / 2^e exactly."""
+    m, d = x.as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
+def _common(lo: Tuple[int, int], hi: Tuple[int, int]) -> Tuple[int, int, int]:
+    """(m_lo, m_hi, e): the two dyadics over one denominator 2^e."""
+    e = max(lo[1], hi[1])
+    return lo[0] << (e - lo[1]), hi[0] << (e - hi[1]), e
+
+
+def _sign(p: Sequence[int], m: int, e: int) -> int:
+    """Sign of p(m / 2^e): Horner on 2^(e deg p) p(m / 2^e), an integer."""
+    acc = 0
+    shift = 0
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        acc = acc * m + (c << shift)
+        shift += e
+    return (acc > 0) - (acc < 0)
 
 
-def _divide(a: Sequence[int], b: IntPoly) -> Tuple[List[Fraction], List[Fraction]]:
-    """Quotient and remainder of a / b by long division in rationals."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    bl = Fraction(b[-1])
-    db = len(b) - 1
-    while len(r) - 1 >= db and any(r):
-        dr = len(r) - 1
-        f = r[-1] / bl
-        q[dr - db] = f
-        for i in range(db + 1):
-            r[dr - db + i] -= f * b[i]
-        while r and r[-1] == 0:
-            r.pop()
+def _pdiv(a: Sequence[int], b: IntPoly) -> Tuple[List[int], List[int]]:
+    """Integer pseudo-division: |lc(b)|^(deg a - deg b + 1) a = q b + r.
+
+    q and r are positive multiples of the rational quotient and remainder;
+    r has its trailing zeros stripped.
+    """
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        f = r.pop()
+        q = [lb * c for c in q]
+        q[i] = f
+        r = [lb * c for c in r]
+        for j in range(db):
+            r[i + j] -= f * b[j]
+    if lb < 0 and len(q) % 2:
+        q, r = [-c for c in q], [-c for c in r]
+    while r and r[-1] == 0:
+        r.pop()
     return q, r
 
 
-def _rem(a: List[int], b: IntPoly) -> IntPoly:
-    """Primitive integer remainder of a / b (positive scaling only)."""
-    return _integral(_divide(a, b)[1])
-
-
 def _sturm_chain(p: IntPoly) -> List[IntPoly]:
+    """Sturm chain of a nonconstant p (each remainder is shorter: it ends)."""
     chain = [p, _deriv(p)]
-    while chain[-1]:
-        nxt = [-c for c in _rem(chain[-2], chain[-1])]
+    while True:
+        nxt = [-c for c in _primitive(_pdiv(chain[-2], chain[-1])[1])]
         if not nxt:
-            break
-        if len(nxt) >= len(chain[-1]) + 1:
-            raise ConditioningError("Sturm chain degree failed to decrease")
+            return chain
         chain.append(nxt)
-    return [c for c in chain if c]
 
 
 def _square_free(p: IntPoly) -> IntPoly:
     """p divided by gcd(p, p'), primitive, sign of leading term preserved."""
-    if len(p) <= 2:
-        return p[:]
-    g = _gcd_poly(p, _deriv(p))
-    if len(g) == 1:
-        return p[:]
-    q = _integral(_divide(p, g)[0])
-    if q[-1] * p[-1] < 0:
-        q = [-c for c in q]
-    return q
+    return _exact_quotient(p, _gcd_poly(p, _deriv(p)))
+
+
+def _exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
+    """p / g for a divisor g of p, primitive, sign of leading term preserved."""
+    q = _primitive(_pdiv(p, g)[0])
+    return q if q[-1] * p[-1] > 0 else [-c for c in q]
 
 
 def _gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -161,7 +170,7 @@ def _gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, _primitive(_pdiv(a, b)[1])
     return _primitive(a)
 
 
@@ -170,33 +179,27 @@ def _variations(signs: List[int]) -> int:
     return sum(1 for x, y in zip(seq, seq[1:]) if x * y < 0)
 
 
-def _variations_at(chain: List[IntPoly], x: Fraction) -> int:
-    return _variations([_sign_fr(_eval_fr(p, x)) for p in chain])
+def _variations_at(chain: List[IntPoly], m: int, e: int) -> int:
+    return _variations([_sign(p, m, e) for p in chain])
 
 
-def _sign_fr(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _count_in(chain: List[IntPoly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
+def _count_in(chain: List[IntPoly], m_lo: int, m_hi: int, e: int) -> int:
+    """Distinct real roots in (m_lo / 2^e, m_hi / 2^e] by Sturm's theorem."""
+    return _variations_at(chain, m_lo, e) - _variations_at(chain, m_hi, e)
 
 
 def _count_all(chain: List[IntPoly]) -> int:
-    """Distinct real roots over (-inf, inf)."""
-    at_minus = _variations([_sign_fr(Fraction(p[-1]) * (-1) ** (len(p) - 1)) for p in chain])
-    at_plus = _variations([_sign_fr(Fraction(p[-1])) for p in chain])
-    return at_minus - at_plus
+    """Distinct real roots over (-inf, inf), from the leading coefficients."""
+    lead = [(p[-1] > 0) - (p[-1] < 0) for p in chain]
+    at_minus = _variations([s if len(p) % 2 else -s for s, p in zip(lead, chain)])
+    return at_minus - _variations(lead)
 
 
-def _nudge(p: IntPoly, x: float, direction: float) -> Fraction:
-    """Move x outward by 16 ulps until it is not a root of p."""
-    fx = Fraction(x)
-    while _eval_fr(p, fx) == 0:
+def _nudge(p: IntPoly, x: float, direction: float) -> Tuple[int, int]:
+    """Move x outward by 16 ulps until it is not a root of p; (m, e) form."""
+    while _sign(p, *_dyadic(x)) == 0:
         x = x + direction * 16.0 * max(abs(x), 1.0) * _EPS
-        fx = Fraction(x)
-    return fx
+    return _dyadic(x)
 
 
 # ---------------------------------------------------------------------------
@@ -215,34 +218,35 @@ def isolate_real_roots(
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ParameterError("interval must satisfy lo < hi")
-    if p.degree == 0:
-        return []
     ps = p._square_free_ints
     if len(ps) <= 1:
         return []
     chain = _sturm_chain(ps)
-    flo = _nudge(ps, lo, -1.0)
-    fhi = _nudge(ps, hi, +1.0)
-    total = _count_in(chain, flo, fhi)
+    m_lo, m_hi, e = _common(_nudge(ps, lo, -1.0), _nudge(ps, hi, +1.0))
+    # intervals (m_lo / 2^e, m_hi / 2^e] with their Sturm counts
+    stack = [(m_lo, m_hi, e, _count_in(chain, m_lo, m_hi, e))]
     out: List[RootBracket] = []
-    stack = [(flo, fhi, total)]
     while stack:
-        a, b, cnt = stack.pop()
+        m_lo, m_hi, e, cnt = stack.pop()
         if cnt == 0:
             continue
         if cnt == 1:
-            sa = _sign_fr(_eval_fr(ps, a))
-            sb = _sign_fr(_eval_fr(ps, b))
-            out.append(RootBracket(float(a), float(b), sa, sb))
+            scale = 1 << e
+            out.append(RootBracket(m_lo / scale, m_hi / scale,
+                                   _sign(ps, m_lo, e), _sign(ps, m_hi, e)))
             continue
-        mid = (a + b) / 2
-        shift = (b - a) / Fraction(2**40)
-        while _eval_fr(ps, mid) == 0:
-            # midpoint hit a root exactly; step off it
-            mid += shift
-        cl = _count_in(chain, a, mid)
-        stack.append((a, mid, cl))
-        stack.append((mid, b, cnt - cl))
+        m_mid = m_lo + m_hi
+        if _sign(ps, m_mid, e + 1) == 0:
+            # midpoint hit a root exactly; step off it by (hi - lo) / 2^40
+            m_mid <<= 39
+            while _sign(ps, m_mid, e + 40) == 0:
+                m_mid += m_hi - m_lo
+            m_lo, m_hi, e = m_lo << 40, m_hi << 40, e + 40
+        else:
+            m_lo, m_hi, e = m_lo << 1, m_hi << 1, e + 1
+        c_lo = _count_in(chain, m_lo, m_mid, e)
+        stack.append((m_lo, m_mid, e, c_lo))
+        stack.append((m_mid, m_hi, e, cnt - c_lo))
     out.sort(key=lambda br: br.lo)
     return out
 
@@ -258,43 +262,40 @@ def refine(p: RealPolynomial, bracket: RootBracket, tol: float) -> float:
     if not tol > 0:
         raise ParameterError("tol must be positive")
     ps = p._square_free_ints
-    lo, hi = Fraction(bracket.lo), Fraction(bracket.hi)
-    s_lo = _sign_fr(_eval_fr(ps, lo))
-    if s_lo == 0 or s_lo * _sign_fr(_eval_fr(ps, hi)) != -1:
+    m_lo, m_hi, e = _common(_dyadic(float(bracket.lo)), _dyadic(float(bracket.hi)))
+    s_lo = _sign(ps, m_lo, e)
+    if s_lo == 0 or s_lo * _sign(ps, m_hi, e) != -1:
         raise ParameterError("bracket does not straddle a sign change of p")
-    while float(hi - lo) > max(tol, min(ulp(float(lo)), ulp(float(hi)))):
-        mid = (lo + hi) / 2
-        sm = _sign_fr(_eval_fr(ps, mid))
-        if sm == 0:
-            return float(mid)
-        if sm == s_lo:
-            lo = mid
+    while True:
+        scale = 1 << e
+        if (m_hi - m_lo) / scale <= max(tol, min(ulp(m_lo / scale), ulp(m_hi / scale))):
+            return (m_lo + m_hi) / (scale << 1)
+        m_mid, e = m_lo + m_hi, e + 1
+        s_mid = _sign(ps, m_mid, e)
+        if s_mid == 0:
+            return m_mid / (scale << 1)
+        if s_mid == s_lo:
+            m_lo, m_hi = m_mid, m_hi << 1
         else:
-            hi = mid
-    return float((lo + hi) / 2)
+            m_lo, m_hi = m_lo << 1, m_mid
 
 
 def is_real_rooted(p: RealPolynomial) -> bool:
     """True iff the number of real roots counted with multiplicity equals
     the degree (square-free reduction handles multiplicity exactly)."""
-    ip = _to_int_poly(p.coeffs)
-    degree = len(ip) - 1
-    if degree <= 0:
+    if p.degree <= 0:
         return True
-    return _real_count_with_multiplicity(ip) == degree
+    return _real_count_with_multiplicity(_to_int_poly(p.coeffs), p._square_free_ints) == p.degree
 
 
-def _real_count_with_multiplicity(p: IntPoly) -> int:
-    if len(p) <= 1:
-        return 0
-    if len(p) == 2:
-        return 1
-    ps = _square_free(p)
-    distinct = _count_all(_sturm_chain(ps))
-    g = _gcd_poly(p, _deriv(p))
-    if len(g) == 1:
+def _real_count_with_multiplicity(p: IntPoly, ps: IntPoly) -> int:
+    """Real roots of p with multiplicity, given its square-free part ps:
+    the distinct ones, plus those of p / ps = gcd(p, p') with multiplicity."""
+    distinct = _count_all(_sturm_chain(ps)) if len(ps) > 1 else 0
+    if len(ps) == len(p):
         return distinct
-    return distinct + _real_count_with_multiplicity(g)
+    g = _exact_quotient(p, ps)
+    return distinct + _real_count_with_multiplicity(g, _square_free(g))
 
 
 def count_real_roots(p: RealPolynomial, interval: Optional[Tuple[float, float]] = None) -> int:
@@ -305,9 +306,8 @@ def count_real_roots(p: RealPolynomial, interval: Optional[Tuple[float, float]] 
     chain = _sturm_chain(ps)
     if interval is None:
         return _count_all(chain)
-    flo = _nudge(ps, float(interval[0]), -1.0)
-    fhi = _nudge(ps, float(interval[1]), +1.0)
-    return _count_in(chain, flo, fhi)
+    return _count_in(chain, *_common(_nudge(ps, float(interval[0]), -1.0),
+                                     _nudge(ps, float(interval[1]), +1.0)))
 
 
 def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:

@@ -220,6 +220,8 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
         if n is None:
             absw = abs(w)
             wmax = top(absw)
+            if not wmax < math.inf:  # nan fails this test too
+                raise ParameterError(f"non-finite point {_where(z)}")
             if wmax == 0:
                 return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
         r = family.ratio(1)
@@ -324,16 +326,20 @@ def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:
 
 
 def _indexed(name: str, least: int, fn: Callable[[int], float]) -> Callable[[int], float]:
-    """``fn`` behind the check n >= least; a result beyond the float range
-    raises ``FloatRangeError``."""
+    """``fn`` behind the check n >= least; a result beyond the float range,
+    raised as ``OverflowError`` or returned as inf or nan, raises
+    ``FloatRangeError``."""
 
     def value(n: int) -> float:
         if n < least:
             raise ParameterError(f"{name}(n) is defined for n >= {least}")
         try:
-            return fn(n)
+            v = fn(n)
         except OverflowError:
-            raise FloatRangeError(f"{name}({n}) is beyond the float range") from None
+            v = math.inf
+        if not math.isfinite(v):
+            raise FloatRangeError(f"{name}({n}) is beyond the float range")
+        return v
 
     return value
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lplab import polyroots
 from lplab.errors import ParameterError
@@ -34,12 +36,13 @@ def test_refine_stops_at_the_float_spacing(monkeypatch):
     p = section_polynomial(SeriesFamily(FamilyKind.EULER_F, 4.0), 12)
     br = isolate_real_roots(p, (-1e7, 1e7))[-1]
     evals = []
-    eval_fr = polyroots._eval_fr
-    monkeypatch.setattr(polyroots, "_eval_fr", lambda q, x: evals.append(x) or eval_fr(q, x))
+    sign = polyroots._sign
+    monkeypatch.setattr(polyroots, "_sign", lambda q, m, e: evals.append(m) or sign(q, m, e))
     x = refine(p, br, 1e-12)
     assert 2.1e6 < x < 2.2e6
     # two end signs, then one per halving from the bracket width down to
     # the spacing, not on down to 1e-12
+    assert evals
     assert len(evals) <= 2 + math.ceil(math.log2((br.hi - br.lo) / math.ulp(x))) + 1
     u = math.ulp(x)
     assert _sign_at(p, x - 4 * u) * _sign_at(p, x + 4 * u) == -1
@@ -54,6 +57,7 @@ def test_square_free_form_is_computed_once_per_polynomial(monkeypatch):
     for br in brackets:
         refine(p, br, 1e-12 * max(1.0, abs(br.lo), abs(br.hi)))
     assert count_real_roots(p) == len(brackets) == 12
+    assert is_real_rooted(p)
     assert len(calls) == 1
 
 
@@ -189,3 +193,87 @@ def test_planted_root_recovery_randomized():
 def test_degree_zero_has_no_roots():
     assert isolate_real_roots(RealPolynomial((3.0,)), (-1, 1)) == []
     assert is_real_rooted(RealPolynomial((3.0,)))
+
+
+# ---------------------------------------------------------------------------
+# differential test against planted factors and a Fraction oracle
+# ---------------------------------------------------------------------------
+
+_GRID = [Fraction(j, 4) for j in range(-12, 13)]  # roots and interval ends
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _planted(draw):
+    """(lead, real roots with multiplicity, positive quadratics, interval):
+    a polynomial with exact float coefficients and known factors."""
+    roots = draw(st.lists(st.sampled_from(_GRID), min_size=0, max_size=4, unique=True))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    quads = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 4)), max_size=2))
+    quads = [(Fraction(b, 2), Fraction(b * b, 16) + Fraction(c, 4)) for b, c in quads]
+    lead = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(3), Fraction(-3, 8)]))
+    lo, hi = sorted(draw(st.lists(st.sampled_from(_GRID), min_size=2, max_size=2, unique=True)))
+    return lead, dict(zip(roots, mults)), quads, (lo, hi)
+
+
+def _oracle_sign(lead, roots, x):
+    """Sign at x of the square-free part, leading sign kept (quadratics are
+    positive on the line)."""
+    s = 1 if lead > 0 else -1
+    for r in roots:
+        s *= (x > r) - (x < r)
+    return s
+
+
+def _oracle_refine(lead, roots, lo, hi, tol):
+    """The bisection of ``refine`` in Fraction arithmetic."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    s_lo = _oracle_sign(lead, roots, lo)
+    while float(hi - lo) > max(tol, min(math.ulp(float(lo)), math.ulp(float(hi)))):
+        mid = (lo + hi) / 2
+        s = _oracle_sign(lead, roots, mid)
+        if s == 0:
+            return float(mid)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted(), st.sampled_from([1e-6, 1e-12, 1e-300]))
+@example((Fraction(1), {Fraction(-1): 3, Fraction(0): 1, Fraction(1): 2}, [], (Fraction(-1), Fraction(1))),
+         1e-12)
+def test_exact_layer_matches_planted_factors(case, tol):
+    # roots and interval ends on a quarter grid: ends can sit on roots
+    # (nudge) and bisection midpoints can hit roots exactly (step-off)
+    lead, roots, quads, (lo, hi) = case
+    coeffs = [lead]
+    for r, m in roots.items():
+        for _ in range(m):
+            coeffs = _times(coeffs, [-r, Fraction(1)])
+    for b, c in quads:
+        coeffs = _times(coeffs, [c, b, Fraction(1)])
+    p = RealPolynomial(tuple(float(c) for c in coeffs))
+    assert [Fraction(c) for c in p.coeffs] == coeffs  # exactness
+    assert is_real_rooted(p) == (not quads)
+    assert count_real_roots(p) == len(roots)
+    inside = sorted(r for r in roots if lo <= r <= hi)
+    assert count_real_roots(p, (float(lo), float(hi))) == len(inside)
+    brs = isolate_real_roots(p, (float(lo), float(hi)))
+    assert len(brs) == len(inside)
+    for br, r in zip(brs, inside):
+        assert br.lo < r < br.hi
+        assert br.sign_lo == _oracle_sign(lead, roots, Fraction(br.lo)) == -br.sign_hi
+        assert br.sign_hi == _oracle_sign(lead, roots, Fraction(br.hi))
+        x = refine(p, br, tol)
+        assert x == _oracle_refine(lead, roots, br.lo, br.hi, tol)
+        assert abs(x - r) <= max(tol, 2 * math.ulp(br.lo), 2 * math.ulp(br.hi))

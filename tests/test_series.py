@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,6 +128,26 @@ def test_quotient_overflow_is_a_float_range_error():
     for fam in (theta(1e200), eulerF(1e200), eulerH(1e200)):
         with pytest.raises(FloatRangeError):
             quotients(fam).p(2)
+    # a * a overflows to inf without raising
+    with pytest.raises(FloatRangeError):
+        quotients(theta(1e200)).q(2)
+
+
+def test_non_finite_points_are_rejected_before_the_sum(monkeypatch):
+    steps = []
+    ratio = SeriesFamily.ratio
+    monkeypatch.setattr(SeriesFamily, "ratio", lambda fam, k: steps.append(k) or ratio(fam, k))
+    for z in (math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            evaluate(eulerF(4.0), z)
+        with pytest.raises(ParameterError):
+            evaluate_many(eulerF(4.0), np.array([0.5, z]))
+    assert steps == []
+    # Fraction and mpmath points still evaluate
+    value = evaluate(eulerF(4.0), 1.0 / 3.0).value
+    assert evaluate(eulerF(4.0), Fraction(1, 3)).value == pytest.approx(value, rel=1e-14)
+    mp_value = evaluate(SeriesFamily(FamilyKind.EULER_F, mpmath.mpf(4)), mpmath.mpf(1) / 3).value
+    assert float(mp_value) == pytest.approx(value, rel=1e-14)
 
 
 def test_ratio_underflows_where_a_power_overflows():
