@@ -24,17 +24,10 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError, PreconditionError
-from .polyroots import RealPolynomial, isolate_real_roots, refine
-from .series import (
-    _EPS,
-    FamilyKind,
-    SeriesFamily,
-    evaluate,
-    evaluate_many,
-    quotients,
-    section_sum,
-)
+from .errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
+from .polyroots import RealPolynomial, _dyadic, _sign, isolate_real_roots, refine
+from .series import _EPS, FamilyKind, SeriesFamily, _evaluators, quotients, section_sum
+from .series import evaluate  # noqa: F401  (perfbench's tracer tests patch this binding)
 
 
 class Verdict(str, Enum):
@@ -94,6 +87,16 @@ def _verdict_band(scale: float) -> float:
     return 64.0 * _EPS * max(1.0, scale)
 
 
+def _verdict(margin: float, band: float, below: Verdict, above: Verdict) -> Verdict:
+    """The one margin-to-verdict rule: a margin beyond the band on either
+    side decides, anything within it (or nan) is Boundary."""
+    if margin < -band:
+        return below
+    if margin > band:
+        return above
+    return Verdict.BOUNDARY
+
+
 # ---------------------------------------------------------------------------
 # quotient criteria
 # ---------------------------------------------------------------------------
@@ -117,15 +120,14 @@ def hutchinson_test(family: SeriesFamily, n_max: int = 20) -> CriterionReport:
     if exact_inf is None:
         return CriterionReport("hutchinson", Verdict.INAPPLICABLE, window_min - 4.0)
     exact_margin = exact_inf - 4
-    margin = float(exact_margin)
     if exact_margin == 0:
         # threshold attained exactly in exact arithmetic: inclusive test holds
         return CriterionReport("hutchinson", Verdict.IN_LP, 0.0)
-    if abs(margin) <= _verdict_band(float(exact_inf)):
-        return CriterionReport("hutchinson", Verdict.BOUNDARY, margin)
-    if margin > 0:
-        return CriterionReport("hutchinson", Verdict.IN_LP, margin)
-    return CriterionReport("hutchinson", Verdict.INAPPLICABLE, margin)
+    margin = float(exact_margin)
+    band = _verdict_band(float(exact_inf))
+    return CriterionReport(
+        "hutchinson", _verdict(margin, band, Verdict.INAPPLICABLE, Verdict.IN_LP), margin
+    )
 
 
 def necessary_q2(family: SeriesFamily) -> CriterionReport:
@@ -143,11 +145,8 @@ def necessary_q2(family: SeriesFamily) -> CriterionReport:
     exact = _exact_q2(family)
     margin = float(exact - 3) if exact is not None else qv.q(2) - 3.0
     scale = float(exact) if exact is not None else qv.q(2)
-    if margin < -_verdict_band(scale):
-        return CriterionReport("q2_necessary", Verdict.NOT_IN_LP, margin)
-    if abs(margin) <= _verdict_band(scale):
-        return CriterionReport("q2_necessary", Verdict.BOUNDARY, margin)
-    return CriterionReport("q2_necessary", Verdict.INAPPLICABLE, margin)
+    verdict = _verdict(margin, _verdict_band(scale), Verdict.NOT_IN_LP, Verdict.INAPPLICABLE)
+    return CriterionReport("q2_necessary", verdict, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,10 @@ def minimize_on_interval(
     """Grid scan then golden-section refinement around the best cell.
 
     ``fn(x)`` returns (value, error_bound); ``batch(xs)`` returns the grid
-    values in one vectorized call.  Returns (min_value, argmin, error)."""
+    values in one vectorized call.  The grid is the ``grid`` interior points
+    of ``grid + 1`` equal cells of (lo, hi); the best point's cell reaches
+    to its neighbours (to lo or hi at the ends).  Returns (min_value,
+    argmin, error)."""
     if grid < 8:
         raise ParameterError("grid must be >= 8")
     xs = np.linspace(lo, hi, grid + 2)[1:-1]
@@ -216,21 +218,7 @@ def _interval_min(
 ) -> Tuple[float, float, float]:
     """Minimum on (lo, hi) of the real series (``n=None``) or of its
     degree-n section, as (min_value, argmin, error)."""
-    if n is None:
-        def fn(x: float) -> Tuple[float, float]:
-            res = evaluate(family, x, 1e-13)
-            return res.value, res.abs_error_bound
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            return evaluate_many(family, xs, 1e-13)[0]
-    else:
-        def fn(x: float) -> Tuple[float, float]:
-            return section_sum(family, n, x)
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            return section_sum(family, n, xs)[0]
-
-    return minimize_on_interval(fn, batch, lo, hi, grid)
+    return minimize_on_interval(*_evaluators(family, n), lo, hi, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +249,11 @@ def sign_test_theta(
     if n is not None and n < 2:
         raise ParameterError("section sign test needs n >= 2")
     fam = SeriesFamily(FamilyKind.THETA, a, alternating=True)
-    v, x, e = _interval_min(fam, n, a, a**3, grid)
+    try:
+        hi = a**3
+    except OverflowError:
+        raise FloatRangeError(f"a^3 is beyond the float range at a={a!r}") from None
+    v, x, e = _interval_min(fam, n, a, hi, grid)
     name = "sign_test_theta" if n is None else f"sign_test_theta_section{n}"
     return _sign_verdict(name, v, x, e, tol)
 
@@ -269,13 +261,7 @@ def sign_test_theta(
 def _sign_verdict(
     name: str, v: float, x: float, e: float, tol: float
 ) -> CriterionReport:
-    tol_eff = tol + e
-    if v < -tol_eff:
-        verdict = Verdict.IN_LP
-    elif v > tol_eff:
-        verdict = Verdict.NOT_IN_LP
-    else:
-        verdict = Verdict.BOUNDARY
+    verdict = _verdict(v, tol + e, Verdict.IN_LP, Verdict.NOT_IN_LP)
     return CriterionReport(name, verdict, v, witness_x=x, witness_value=v)
 
 
@@ -387,19 +373,9 @@ SIX_TERM_REFERENCE_COEFFS: Tuple[int, ...] = (
 )
 
 
-def _horner_with_error(coeffs: Tuple[int, ...], x: float) -> Tuple[float, float]:
-    acc = 0.0
-    abs_acc = 0.0
-    ax = abs(x)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        abs_acc = abs_acc * ax + abs(c)
-    return acc, 4.0 * _EPS * len(coeffs) * abs_acc
-
-
-def six_term_certificate_values(a: float) -> Tuple[float, float, float]:
-    """(closed form, direct section, exact-expansion polynomial) at
-    z0 = (2/3)(a+1) q_2 for the alternating Euler-type series."""
+def _six_term_section_values(a: float) -> Tuple[float, float, float]:
+    """(closed form, direct section, z0) at z0 = (2/3)(a+1) q_2 for the
+    alternating Euler-type series."""
     fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
     qv = quotients(fam)
     q2, q3, q4, q5, q6 = (qv.q(j) for j in range(2, 7))
@@ -413,8 +389,14 @@ def six_term_certificate_values(a: float) -> Tuple[float, float, float]:
     )
     z0 = (2.0 / 3.0) * (a + 1.0) * q2
     direct, _ = section_sum(fam, 6, z0)
-    poly, _ = _horner_with_error(SIX_TERM_EXPANSION_COEFFS, a)
-    return closed, direct, poly
+    return closed, direct, z0
+
+
+def six_term_certificate_values(a: float) -> Tuple[float, float, float]:
+    """(closed form, direct section, exact-expansion polynomial) at
+    z0 = (2/3)(a+1) q_2 for the alternating Euler-type series."""
+    closed, direct, _ = _six_term_section_values(a)
+    return closed, direct, RealPolynomial(SIX_TERM_EXPANSION_COEFFS)(a)
 
 
 def six_term_section_test(a: float, tol: float = 1e-9) -> CriterionReport:
@@ -422,35 +404,28 @@ def six_term_section_test(a: float, tol: float = 1e-9) -> CriterionReport:
 
     Evaluates the section at z0 = (2/3)(a+1) q_2 through the six-term
     closed form and independently through the term recurrence (they must
-    agree to 1e-9), and cross-checks the sign against the exact
-    integer-coefficient polynomialization.  A certified nonpositive value
-    implies a nonpositive full-series value at z0 and hence membership;
-    a positive value concludes nothing.
+    agree to 1e-9), and cross-checks the sign against the exact sign of the
+    integer-coefficient polynomialization at the (dyadic) float ``a``.  A
+    certified negative value implies a negative full-series value at z0 and
+    hence membership; a positive value concludes nothing.
     """
     if not a > 1:
         raise ParameterError("requires a > 1")
-    closed, direct, _ = six_term_certificate_values(a)
+    closed, direct, z0 = _six_term_section_values(a)
     denom = max(1.0, abs(closed), abs(direct))
     if abs(closed - direct) > 1e-9 * denom:
         raise ConsistencyError(
             f"six-term closed form {closed!r} and direct section {direct!r} "
             "disagree beyond 1e-9 relative"
         )
-    poly, poly_err = _horner_with_error(SIX_TERM_EXPANSION_COEFFS, a)
     band = tol + 64.0 * _EPS
-    if abs(closed) > band and abs(poly) > 10.0 * poly_err:
-        if (closed < 0) != (poly < 0):
-            raise ConsistencyError(
-                f"section value {closed!r} and exact polynomialization "
-                f"{poly!r} disagree in sign at a={a!r}"
-            )
-    z0 = (2.0 / 3.0) * (a + 1.0) * quotients(SeriesFamily(FamilyKind.EULER_F, a)).q(2)
-    if closed <= -band:
-        verdict = Verdict.IN_LP
-    elif abs(closed) <= band:
-        verdict = Verdict.BOUNDARY
-    else:
-        verdict = Verdict.INAPPLICABLE
+    exact_sign = _sign(SIX_TERM_EXPANSION_COEFFS, *_dyadic(float(a)))
+    if abs(closed) > band and math.copysign(1, closed) != exact_sign:
+        raise ConsistencyError(
+            f"section value {closed!r} and the exact polynomialization (sign "
+            f"{exact_sign}) disagree in sign at a={a!r}"
+        )
+    verdict = _verdict(closed, band, Verdict.IN_LP, Verdict.INAPPLICABLE)
     return CriterionReport(
         "six_term_section", verdict, closed, witness_x=z0, witness_value=closed
     )

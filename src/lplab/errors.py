@@ -32,10 +32,6 @@ class FloatRangeError(LplabError, ArithmeticError):
     """A result or its error bound leaves the floating-point range."""
 
 
-class ConditioningError(LplabError, ArithmeticError):
-    """A polynomial chain invariant was violated (degenerate input)."""
-
-
 class ZeroOnCircleError(LplabError, ArithmeticError):
     """The sampled circle passes too close to a zero for a certified count."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, ulp
+from math import gcd, isfinite, ulp
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ParameterError
@@ -26,7 +26,7 @@ IntPoly = List[int]  # ascending coefficients, primitive, nonzero leading term
 
 @dataclass(frozen=True)
 class RealPolynomial:
-    """Real polynomial, ascending coefficients, trailing zeros stripped.
+    """Real polynomial, ascending finite coefficients, trailing zeros stripped.
 
     ``u_scale`` is set on section polynomials: the polynomial lives in the
     normalized variable u and z = u_scale * u maps its roots back to the
@@ -38,6 +38,8 @@ class RealPolynomial:
 
     def __post_init__(self):
         cs = [float(c) for c in self.coeffs]
+        if not all(isfinite(c) for c in cs):
+            raise ParameterError(f"non-finite coefficient in {tuple(cs)!r}")
         while cs and cs[-1] == 0.0:
             cs.pop()
         if not cs:
@@ -195,6 +197,13 @@ def _count_all(chain: List[IntPoly]) -> int:
     return at_minus - _variations(lead)
 
 
+def _finite_ends(interval: Tuple[float, float]) -> Tuple[float, float]:
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ParameterError(f"interval ends must be finite, got {interval!r}")
+    return lo, hi
+
+
 def _nudge(p: IntPoly, x: float, direction: float) -> Tuple[int, int]:
     """Move x outward by 16 ulps until it is not a root of p; (m, e) form."""
     while _sign(p, *_dyadic(x)) == 0:
@@ -215,7 +224,7 @@ def isolate_real_roots(
     of p, so multiple roots are located once.  Interval endpoints landing
     exactly on roots are nudged outward by 16-ulp steps.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = _finite_ends(interval)
     if not lo < hi:
         raise ParameterError("interval must satisfy lo < hi")
     ps = p._square_free_ints
@@ -306,8 +315,8 @@ def count_real_roots(p: RealPolynomial, interval: Optional[Tuple[float, float]] 
     chain = _sturm_chain(ps)
     if interval is None:
         return _count_all(chain)
-    return _count_in(chain, *_common(_nudge(ps, float(interval[0]), -1.0),
-                                     _nudge(ps, float(interval[1]), +1.0)))
+    lo, hi = _finite_ends(interval)
+    return _count_in(chain, *_common(_nudge(ps, lo, -1.0), _nudge(ps, hi, +1.0)))
 
 
 def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:

@@ -198,8 +198,9 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
     precision, or a numpy array, summed pointwise.  With ``n`` it sums the
     degree-n section (fewer terms if a custom family ends sooner), with the
     roundoff bound 4 eps (n+1) sum |t_k|; with ``n=None`` the full series,
-    until ``evaluate``'s stop rule holds at every point.  Terms beyond the
-    float range raise ``FloatRangeError``.
+    until ``evaluate``'s stop rule holds at every point.  A non-finite point
+    raises ``ParameterError`` before the first term; terms beyond the float
+    range raise ``FloatRangeError``.
     """
     if n is None:
         if not rel_tol > 0:
@@ -215,15 +216,14 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
         last = min(last, family.n_terms - 1)
     try:
         w = -z if family.alternating else z
+        absw = abs(w)
+        wmax = top(absw)
+        if not wmax < math.inf:  # nan fails this test too
+            raise ParameterError(f"non-finite point {_where(z)}")
         term = _first_coefficient(family) * z**0
         total, abs_acc = term, abs(term)
-        if n is None:
-            absw = abs(w)
-            wmax = top(absw)
-            if not wmax < math.inf:  # nan fails this test too
-                raise ParameterError(f"non-finite point {_where(z)}")
-            if wmax == 0:
-                return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
+        if n is None and wmax == 0:
+            return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
         r = family.ratio(1)
         for k in range(1, last + 1):
             term = mul(term, w * r)
@@ -292,6 +292,27 @@ def evaluate_section(family: SeriesFamily, n: int, z: complex) -> complex:
     """Exact sum of the first n+1 terms via the term recurrence (duck-typed
     like ``evaluate``)."""
     return _term_sum(family, z, n)[0]
+
+
+def _evaluators(family: SeriesFamily, n: Optional[int]):
+    """The series (``n=None``, through ``evaluate``/``evaluate_many`` at
+    rel_tol 1e-13) or its degree-n section (through ``section_sum``) as a
+    pair of callables: one point to (value, error_bound), and an array of
+    points to their values.  The minimizers take their points from here."""
+    if n is None:
+        def one(z) -> Tuple[complex, float]:
+            res = evaluate(family, z, 1e-13)
+            return res.value, res.abs_error_bound
+
+        def many(zs: np.ndarray) -> np.ndarray:
+            return evaluate_many(family, zs, 1e-13)[0]
+    else:
+        def one(z) -> Tuple[complex, float]:
+            return section_sum(family, n, z)
+
+        def many(zs: np.ndarray) -> np.ndarray:
+            return section_sum(family, n, zs)[0]
+    return one, many
 
 
 def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:
@@ -366,6 +387,8 @@ def quotients(family: SeriesFamily) -> QuotientView:
             return a * a
 
         limit, monotonicity = a * a, "constant"
+        if not math.isfinite(limit):
+            raise FloatRangeError(f"q_n = a^2 is beyond the float range at a={a!r}")
     elif family.kind is FamilyKind.EULER_H:
 
         def p(n: int) -> float:

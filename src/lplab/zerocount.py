@@ -19,16 +19,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .criteria import _golden_min
+from .criteria import minimize_on_interval
 from .errors import FloatRangeError, ParameterError, RealRootsError, ZeroOnCircleError
-from .series import (
-    FamilyKind,
-    SeriesFamily,
-    evaluate,
-    evaluate_many,
-    quotients,
-    section_sum,
-)
+from .series import FamilyKind, SeriesFamily, _evaluators, evaluate_many, quotients
 
 _START_SAMPLES = 256
 _MAX_SAMPLES = 2**20
@@ -154,28 +147,24 @@ def grid_min_modulus(
 ) -> float:
     """Numeric minimum of |f| (or |S_n|) on |z| = r: grid scan plus
     golden-section refinement in the best cell.  Works in the family's own
-    z-plane."""
+    z-plane.
+
+    The interval minimizer on theta in (-2 pi/grid, 2 pi) scans the
+    periodic grid theta_i = 2 pi i/grid, i < grid, and the cells of its
+    first and last points reach across theta = 0 resp. 2 pi."""
     if not r > 0:
         raise ParameterError("radius must be positive")
     if grid < 64:
         raise ParameterError("grid must be >= 64")
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    zs = r * np.exp(1j * thetas)
-    if n_section is None:
-        value = lambda z: evaluate(family, z, 1e-13).value
-        vals = np.abs(evaluate_many(family, zs, 1e-13)[0])
-    else:
-        value = lambda z: section_sum(family, n_section, z)[0]
-        vals = np.abs(section_sum(family, n_section, zs)[0])
+    one, many = _evaluators(family, n_section)
 
     def f(th: float) -> Tuple[float, float]:
-        return abs(value(r * complex(math.cos(th), math.sin(th)))), 0.0
+        return abs(one(r * complex(math.cos(th), math.sin(th)))[0]), 0.0
 
-    i = int(np.argmin(vals))
-    step = 2.0 * math.pi / grid
-    v, _, _ = _golden_min(f, float(thetas[i] - step), float(thetas[i] + step))
-    return min(float(vals[i]), v)
+    def f_many(thetas: np.ndarray) -> np.ndarray:
+        return np.abs(many(r * np.exp(1j * thetas)))
+
+    return minimize_on_interval(f, f_many, -2.0 * math.pi / grid, 2.0 * math.pi, grid)[0]
 
 
 def min_modulus_on_circle(

@@ -15,11 +15,13 @@ import math
 import numpy as np
 import pytest
 
+from lplab import criteria, polyroots
 from lplab.criteria import (
     SIX_TERM_EXPANSION_COEFFS,
     SIX_TERM_REFERENCE_COEFFS,
     Verdict,
     _golden_min,
+    _verdict,
     classify_euler,
     cubic_aux_margin,
     cubic_critical_points,
@@ -33,7 +35,8 @@ from lplab.criteria import (
     six_term_certificate_values,
     six_term_section_test,
 )
-from lplab.errors import ParameterError, PreconditionError
+from lplab.errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
+from lplab.polyroots import RealPolynomial
 from lplab.series import FamilyKind, SeriesFamily, coefficient_log
 
 TRUE_SIGN_FLIP = 3.964228020751282        # bisection on the interval minimum
@@ -154,6 +157,15 @@ def test_sign_test_rejects_bad_parameters():
         sign_test_euler(0.9)
     with pytest.raises(ParameterError):
         sign_test_theta(2.0, n=1)
+    # a^3 beyond the float range
+    with pytest.raises(FloatRangeError):
+        sign_test_theta(1e160)
+
+
+def test_one_verdict_rule_for_every_band():
+    for m, expected in ((-2.0, "below"), (-1.0, Verdict.BOUNDARY), (0.0, Verdict.BOUNDARY),
+                        (1.0, Verdict.BOUNDARY), (2.0, "above"), (math.nan, Verdict.BOUNDARY)):
+        assert _verdict(m, 1.0, "below", "above") == expected
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +251,32 @@ def test_six_term_verdicts():
     assert six_term_section_test(SIX_TERM_FLIP + 1e-4).verdict is Verdict.IN_LP
     near = six_term_section_test(SIX_TERM_FLIP, tol=1e-7)
     assert near.verdict is Verdict.BOUNDARY
+
+
+def test_six_term_sign_is_exact_and_checked(monkeypatch):
+    # the exact integer sign at the dyadic a agrees with the float Horner
+    # value wherever that value is well clear of its roundoff
+    rng = np.random.default_rng(5)
+    p = RealPolynomial(SIX_TERM_EXPANSION_COEFFS)
+    for a in rng.uniform(1.01, 8.0, 2000):
+        a = float(a)
+        poly = p(a)
+        scale = sum(abs(c) * a**k for k, c in enumerate(SIX_TERM_EXPANSION_COEFFS))
+        exact = polyroots._sign(SIX_TERM_EXPANSION_COEFFS, *polyroots._dyadic(a))
+        if abs(poly) > 1e-12 * scale:
+            assert exact == (1 if poly > 0 else -1)
+    # a section value of the wrong sign is a ConsistencyError; one on the
+    # edge of the band is Boundary
+    band = 1e-9 + 64.0 * np.finfo(float).eps
+    for closed, outcome in ((0.25, ConsistencyError), (-band, Verdict.BOUNDARY),
+                            (-2 * band, Verdict.IN_LP)):
+        monkeypatch.setattr(criteria, "_six_term_section_values",
+                            lambda a, c=closed: (c, c, 1.0))
+        if outcome is ConsistencyError:
+            with pytest.raises(ConsistencyError):
+                six_term_section_test(4.5)
+        else:
+            assert six_term_section_test(4.5).verdict is outcome
 
 
 def test_six_term_closed_form_identity_randomized():

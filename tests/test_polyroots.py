@@ -190,6 +190,19 @@ def test_planted_root_recovery_randomized():
             assert refine(p, br, 1e-12) == pytest.approx(float(r), abs=1e-9)
 
 
+def test_non_finite_input_is_a_parameter_error():
+    for coeffs in ((1.0, math.inf), (1, math.nan, 1), (-math.inf, 0, 1)):
+        with pytest.raises(ParameterError):
+            RealPolynomial(coeffs)
+    p = RealPolynomial((-1, 0, 1))
+    for interval in ((-math.inf, 2.0), (0.0, math.inf), (math.nan, 2.0), (-2.0, math.nan)):
+        with pytest.raises(ParameterError):
+            isolate_real_roots(p, interval)
+        with pytest.raises(ParameterError):
+            count_real_roots(p, interval)
+    assert count_real_roots(p, (-2.0, 2.0)) == 2
+
+
 def test_degree_zero_has_no_roots():
     assert isolate_real_roots(RealPolynomial((3.0,)), (-1, 1)) == []
     assert is_real_rooted(RealPolynomial((3.0,)))

@@ -16,6 +16,7 @@ from lplab.errors import (
 )
 from lplab.series import (
     FamilyKind,
+    _evaluators,
     SeriesFamily,
     coefficient_log,
     evaluate,
@@ -131,6 +132,8 @@ def test_quotient_overflow_is_a_float_range_error():
     # a * a overflows to inf without raising
     with pytest.raises(FloatRangeError):
         quotients(theta(1e200)).q(2)
+    with pytest.raises(FloatRangeError):
+        quotients(theta(1e200)).limit
 
 
 def test_non_finite_points_are_rejected_before_the_sum(monkeypatch):
@@ -142,12 +145,31 @@ def test_non_finite_points_are_rejected_before_the_sum(monkeypatch):
             evaluate(eulerF(4.0), z)
         with pytest.raises(ParameterError):
             evaluate_many(eulerF(4.0), np.array([0.5, z]))
+        for n in (0, 3):
+            with pytest.raises(ParameterError):
+                section_sum(eulerF(4.0), n, z)
+            with pytest.raises(ParameterError):
+                section_sum(eulerF(4.0, alternating=True), n, np.array([0.5, z]))
+            with pytest.raises(ParameterError):
+                evaluate_section(eulerF(4.0), n, z)
     assert steps == []
     # Fraction and mpmath points still evaluate
     value = evaluate(eulerF(4.0), 1.0 / 3.0).value
     assert evaluate(eulerF(4.0), Fraction(1, 3)).value == pytest.approx(value, rel=1e-14)
     mp_value = evaluate(SeriesFamily(FamilyKind.EULER_F, mpmath.mpf(4)), mpmath.mpf(1) / 3).value
     assert float(mp_value) == pytest.approx(value, rel=1e-14)
+
+
+def test_series_and_section_evaluators_are_the_public_sums():
+    fam = theta(1.7, alternating=True)
+    zs = np.array([0.3, 2.5, -4.0])
+    one, many = _evaluators(fam, None)
+    res = evaluate(fam, 2.5, 1e-13)
+    assert one(2.5) == (res.value, res.abs_error_bound)
+    assert np.array_equal(many(zs), evaluate_many(fam, zs, 1e-13)[0])
+    one, many = _evaluators(fam, 5)
+    assert one(2.5) == section_sum(fam, 5, 2.5)
+    assert np.array_equal(many(zs), section_sum(fam, 5, zs)[0])
 
 
 def test_ratio_underflows_where_a_power_overflows():
