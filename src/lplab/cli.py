@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,108 +76,6 @@ def _parse_radius(text: str) -> str:
     return text
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="lplab",
-        description="Zero localization and Laguerre-Polya membership tests "
-        "for order-zero entire series with positive coefficients.",
-    )
-    top.add_argument("--version", action="version", version=f"lplab {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    p = sub.add_parser("eval", help="evaluate a family with a certified tail bound")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a", type=_finite, required=True)
-    p.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
-    p.add_argument("--tol", type=_finite, default=1e-12)
-    common(p)
-
-    p = sub.add_parser("section", help="evaluate a truncated section exactly")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a", type=_finite, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
-    common(p)
-
-    p = sub.add_parser("quotients", help="tabulate p_n and q_n")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--a", type=_finite, required=True)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    common(p)
-
-    p = sub.add_parser("classify", help="membership decision cascade for eulerF")
-    p.add_argument("--a", type=_finite, required=True)
-    p.add_argument("--tol", type=_finite, default=1e-9)
-    common(p)
-
-    p = sub.add_parser("sign-test", help="interval-minimum sign test")
-    p.add_argument("--family", choices=("eulerF", "theta"), required=True)
-    p.add_argument("--a", type=_finite, required=True)
-    p.add_argument("--n", type=int, default=None, help="theta section degree")
-    p.add_argument("--grid", type=int, default=512)
-    common(p)
-
-    p = sub.add_parser("zeros", help="winding-number zero count for eulerF")
-    p.add_argument("--a", type=_finite, required=True)
-    p.add_argument(
-        "--radius",
-        type=_parse_radius,
-        required=True,
-        help="disk radius in the normalized variable, or rho:J for the "
-        "J-th block radius",
-    )
-    p.add_argument("--samples", type=int, default=256)
-    common(p)
-
-    p = sub.add_parser("constants", help="certified critical constants")
-    p.add_argument(
-        "--name",
-        choices=("q_infinity", "c_n", "critical_a", "thresholds"),
-        required=True,
-    )
-    p.add_argument("--n", type=int, default=None, help="section index for c_n")
-    p.add_argument("--tol", type=_finite, default=1e-6)
-    common(p)
-
-    p = sub.add_parser("verify", help="run an inequality check suite")
-    p.add_argument(
-        "--lemma",
-        choices=("2", "rouche", "3", "6", "positivity", "4algebra"),
-        required=True,
-        help="which suite: 2=circle minimum, rouche=tail gap, 3=block "
-        "inequalities, 6=sign alternation, positivity=interval positivity, "
-        "4algebra=cubic-minimum algebra",
-    )
-    p.add_argument("--a-grid", type=_parse_grid, default=None, dest="a_grid",
-                   metavar="LO:HI:STEPS")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("scan-conjecture", help="verdict scan across a parameter range")
-    p.add_argument("--a-lo", type=_finite, required=True, dest="a_lo")
-    p.add_argument("--a-hi", type=_finite, required=True, dest="a_hi")
-    p.add_argument("--steps", type=int, required=True)
-    common(p)
-
-    return top
-
-
 # ---------------------------------------------------------------------------
 # command handlers: return (result, error_bounds, csv_rows)
 # ---------------------------------------------------------------------------
@@ -185,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
 CsvRows = Optional[Tuple[List[str], List[List]]]
 
 
-def _family(args, alternating: bool = False) -> SeriesFamily:
-    return SeriesFamily(_FAMILIES[args.family], args.a, alternating=alternating)
+def _family(args) -> SeriesFamily:
+    return SeriesFamily(_FAMILIES[args.family], args.a)
 
 
 def _run_eval(args) -> Tuple[Dict, Dict, CsvRows]:
@@ -326,12 +224,9 @@ def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
         "inapplicable": res.inapplicable,
         "worst_margin": worst,
     }
-    rows = (
-        ["suite", "passed", "grid_points", "failures", "inapplicable", "worst_margin"],
-        [[res.name, res.passed, res.grid_points, len(res.failures),
-          len(res.inapplicable), worst]],
-    )
-    return result, {"worst_margin": worst}, rows
+    # the CSV row is the result with each list reduced to its length
+    row = [len(v) if isinstance(v, list) else v for v in result.values()]
+    return result, {"worst_margin": worst}, (list(result), [row])
 
 
 def _run_scan(args) -> Tuple[Dict, Dict, CsvRows]:
@@ -349,30 +244,111 @@ def _run_scan(args) -> Tuple[Dict, Dict, CsvRows]:
     return result, {"grid_step": step}, (header, rows)
 
 
-_HANDLERS = {
-    "eval": _run_eval,
-    "section": _run_section,
-    "quotients": _run_quotients,
-    "classify": _run_classify,
-    "sign-test": _run_sign_test,
-    "zeros": _run_zeros,
-    "constants": _run_constants,
-    "verify": _run_verify,
-    "scan-conjecture": _run_scan,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    """The one table of subcommands: each is declared with its handler and
+    arguments, and the declaration order is the order of the echoed inputs."""
+    top = argparse.ArgumentParser(
+        prog="lplab",
+        description="Zero localization and Laguerre-Polya membership tests "
+        "for order-zero entire series with positive coefficients.",
+    )
+    top.add_argument("--version", action="version", version=f"lplab {__version__}")
+    sub = top.add_subparsers(dest="command", required=True)
 
-_INPUT_FIELDS = (
-    "family", "a", "z", "n", "n_max", "tol", "grid", "radius", "samples",
-    "name", "lemma", "a_grid", "seed", "a_lo", "a_hi", "steps",
-)
+    def command(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        return p
+
+    p = command("eval", _run_eval, "evaluate a family with a certified tail bound")
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
+    p.add_argument("--tol", type=_finite, default=1e-12)
+
+    p = command("section", _run_section, "evaluate a truncated section exactly")
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
+    p.add_argument("--n", type=int, required=True)
+
+    p = command("quotients", _run_quotients, "tabulate p_n and q_n")
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--n-max", type=int, required=True, dest="n_max")
+
+    p = command("classify", _run_classify, "membership decision cascade for eulerF")
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--tol", type=_finite, default=1e-9)
+
+    p = command("sign-test", _run_sign_test, "interval-minimum sign test")
+    p.add_argument("--family", choices=("eulerF", "theta"), required=True)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--n", type=int, default=None, help="theta section degree")
+    p.add_argument("--grid", type=int, default=512)
+
+    p = command("zeros", _run_zeros, "winding-number zero count for eulerF")
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument(
+        "--radius",
+        type=_parse_radius,
+        required=True,
+        help="disk radius in the normalized variable, or rho:J for the "
+        "J-th block radius",
+    )
+    p.add_argument("--samples", type=int, default=256)
+
+    p = command("constants", _run_constants, "certified critical constants")
+    p.add_argument("--n", type=int, default=None, help="section index for c_n")
+    p.add_argument("--tol", type=_finite, default=1e-6)
+    p.add_argument(
+        "--name",
+        choices=("q_infinity", "c_n", "critical_a", "thresholds"),
+        required=True,
+    )
+
+    p = command("verify", _run_verify, "run an inequality check suite")
+    p.add_argument(
+        "--lemma",
+        choices=("2", "rouche", "3", "6", "positivity", "4algebra"),
+        required=True,
+        help="which suite: 2=circle minimum, rouche=tail gap, 3=block "
+        "inequalities, 6=sign alternation, positivity=interval positivity, "
+        "4algebra=cubic-minimum algebra",
+    )
+    p.add_argument("--a-grid", type=_parse_grid, default=None, dest="a_grid",
+                   metavar="LO:HI:STEPS")
+    p.add_argument("--seed", type=int, default=0)
+
+    p = command("scan-conjecture", _run_scan, "verdict scan across a parameter range")
+    p.add_argument("--a-lo", type=_finite, required=True, dest="a_lo")
+    p.add_argument("--a-hi", type=_finite, required=True, dest="a_hi")
+    p.add_argument("--steps", type=int, required=True)
+
+    return top
 
 
-def _collect_inputs(args) -> Dict:
-    out = {}
-    for key in _INPUT_FIELDS:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            out[key] = _jsonable(getattr(args, key))
-    return out
+# parsed arguments that steer the output rather than the computation
+_NOT_INPUTS = ("command", "handler", "format", "out")
+
+
+def _json_default(value):
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _to_json(doc) -> str:
+    """The one JSON writer: complex numbers as {re, im}, numpy scalars as
+    Python numbers; a non-finite number in ``doc`` is a computation error."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False, default=_json_default) + "\n"
+    except ValueError as exc:
+        raise FloatRangeError(f"non-finite number in the result ({exc})") from None
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -383,30 +359,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _finite_json(report: Dict) -> str:
-    """The report as JSON; a non-finite number in it is a computation error."""
-    try:
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise FloatRangeError(f"non-finite number in the result ({exc})") from None
-
-
-def _render_text(report: Dict) -> str:
-    buf = io.StringIO()
-    buf.write(f"command: {report['command']}\n")
-    for key, value in report.get("inputs", {}).items():
-        buf.write(f"  {key}: {value}\n")
-    buf.write("result:\n")
-    buf.write(json.dumps(report.get("result", report.get("error")), indent=2))
-    buf.write("\n")
-    return buf.getvalue()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    inputs = _collect_inputs(args)
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS and v is not None}
 
     def envelope(**body) -> Dict:
         runtime_ms = (time.perf_counter() - started) * 1e3
@@ -414,26 +371,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "runtime_ms": runtime_ms, "tool_version": __version__}
 
     try:
-        result, bounds, csv_rows = _HANDLERS[args.command](args)
-        report = envelope(result=_jsonable(result), error_bounds=_jsonable(bounds))
-        text = _finite_json(report)
+        result, bounds, csv_rows = args.handler(args)
+        text = _to_json(envelope(result=result, error_bounds=bounds))
     except (LplabError, OverflowError) as exc:
-        report = envelope(error=str(exc), error_type=type(exc).__name__)
-        _emit(json.dumps(_jsonable(report), indent=2) + "\n", args.out)
+        _emit(_to_json(envelope(error=str(exc), error_type=type(exc).__name__)), args.out)
         return 1
     if args.format == "csv":
         if csv_rows is None:
             parser.error(f"--format csv is not available for {args.command!r}")
         header, rows = csv_rows
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
     elif args.format == "text":
-        _emit(_render_text(report), args.out)
-    else:
-        _emit(text, args.out)
+        # inputs in their JSON form, then the JSON result block
+        doc = json.loads(text)
+        lines = [f"command: {args.command}"]
+        lines += [f"  {key}: {value}" for key, value in doc["inputs"].items()]
+        text = "\n".join(lines + ["result:", _to_json(doc["result"])])
+    _emit(text, args.out)
     return 0
 
 

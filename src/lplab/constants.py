@@ -58,7 +58,6 @@ def bisect_predicate(
     hi: float,
     tol: float,
     name: str,
-    probe_points: int = _PROBE_POINTS,
 ) -> Bracket:
     """Bisect a monotone boolean predicate after a probe-grid sanity scan.
 
@@ -70,14 +69,14 @@ def bisect_predicate(
         raise ParameterError("need lo < hi")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    xs = np.linspace(lo, hi, probe_points)
+    xs = np.linspace(lo, hi, _PROBE_POINTS)
     scan = [(float(x), bool(pred(float(x)))) for x in xs]
     evals = len(scan)
     flips = [i for i in range(len(scan) - 1) if scan[i][1] != scan[i + 1][1]]
     if not flips:
         raise BracketError(
             f"{name}: predicate is constant ({scan[0][1]}) across "
-            f"[{lo!r}, {hi!r}] on a {probe_points}-point probe"
+            f"[{lo!r}, {hi!r}] on a {_PROBE_POINTS}-point probe"
         )
     if len(flips) > 1:
         raise MonotonicityError(

@@ -55,34 +55,6 @@ class CriterionReport:
     witness_value: Optional[float] = None
 
 
-# ---------------------------------------------------------------------------
-# exact quotient arithmetic helpers
-# ---------------------------------------------------------------------------
-
-def _exact_q2(family: SeriesFamily) -> Optional[Fraction]:
-    """q_2 as an exact rational of the (dyadic) float parameter."""
-    a = Fraction(family.a)
-    if family.kind is FamilyKind.EULER_F:
-        return (a * a + 1) / (a + 1)
-    if family.kind is FamilyKind.THETA:
-        return a * a
-    if family.kind is FamilyKind.EULER_H:
-        return a + 1  # (a^2-1)/(a-1)
-    return None
-
-
-def _exact_q_infimum(family: SeriesFamily) -> Optional[Fraction]:
-    """inf_n q_n as an exact rational, when q_n is monotone in closed form."""
-    a = Fraction(family.a)
-    if family.kind is FamilyKind.EULER_F:
-        return (a * a + 1) / (a + 1)  # increasing, so the infimum is q_2
-    if family.kind is FamilyKind.THETA:
-        return a * a
-    if family.kind is FamilyKind.EULER_H:
-        return a  # decreasing with limit a (not attained)
-    return None
-
-
 def _verdict_band(scale: float) -> float:
     return 64.0 * _EPS * max(1.0, scale)
 
@@ -104,21 +76,24 @@ def _verdict(margin: float, band: float, below: Verdict, above: Verdict) -> Verd
 def hutchinson_test(family: SeriesFamily, n_max: int = 20) -> CriterionReport:
     """Sufficient test: q_n >= 4 for every n >= 2 forces real zeros.
 
-    Monotone closed-form quotients extend the finite window to all n
-    (increasing: q_2 decides; constant: q decides; decreasing: the limit
-    decides).  A positive margin (or an exactly-zero one, since the
-    criterion is inclusive) gives InLP; without a closed-form extension the
-    verdict is Inapplicable.
+    A named family's closed-form quotients are monotone, so exact rational
+    arithmetic decides for all n at once (increasing: q_2 decides; constant:
+    q decides; decreasing: the limit decides).  A positive margin (or an
+    exactly-zero one, since the criterion is inclusive) gives InLP.  A
+    custom family has no closed-form extension: its verdict is Inapplicable,
+    with the margin of the finite window q_2 .. q_{n_max}.
     """
     if n_max < 2:
         raise ParameterError("n_max must be >= 2")
     qv = quotients(family)
-    if family.n_terms is not None:
+    if family.kind is FamilyKind.CUSTOM:
         n_max = min(n_max, family.n_terms - 1)  # q_n needs a_n
-    window_min = min(qv.q(n) for n in range(2, n_max + 1))
-    exact_inf = _exact_q_infimum(family)
-    if exact_inf is None:
+        window_min = min(qv.q(n) for n in range(2, n_max + 1))
         return CriterionReport("hutchinson", Verdict.INAPPLICABLE, window_min - 4.0)
+    # the closed forms at the exact rational value of the (dyadic) float a;
+    # the float view above has already refused an a beyond the float range
+    exact = quotients(SeriesFamily(family.kind, Fraction(family.a)))
+    exact_inf = exact.limit if exact.monotonicity == "decreasing" else exact.q(2)
     exact_margin = exact_inf - 4
     if exact_margin == 0:
         # threshold attained exactly in exact arithmetic: inclusive test holds
@@ -142,10 +117,12 @@ def necessary_q2(family: SeriesFamily) -> CriterionReport:
         qs = [qv.q(n) for n in range(2, len(family.custom_log_coeffs))]
         if any(x > y * (1.0 + 1e-12) for x, y in zip(qs, qs[1:])):
             raise PreconditionError("custom quotients are not nondecreasing")
-    exact = _exact_q2(family)
-    margin = float(exact - 3) if exact is not None else qv.q(2) - 3.0
-    scale = float(exact) if exact is not None else qv.q(2)
-    verdict = _verdict(margin, _verdict_band(scale), Verdict.NOT_IN_LP, Verdict.INAPPLICABLE)
+    if family.kind is not FamilyKind.CUSTOM:
+        # exact q_2 at the (dyadic) float a, as in hutchinson_test
+        qv = quotients(SeriesFamily(family.kind, Fraction(family.a)))
+    q2 = qv.q(2)
+    margin = float(q2 - 3)
+    verdict = _verdict(margin, _verdict_band(float(q2)), Verdict.NOT_IN_LP, Verdict.INAPPLICABLE)
     return CriterionReport("q2_necessary", verdict, margin)
 
 
@@ -234,8 +211,11 @@ def sign_test_euler(a: float, grid: int = 512, tol: float = 1e-9) -> CriterionRe
     """
     if not a > 1:
         raise ParameterError("requires a > 1")
+    hi = a * a + 1.0
+    if not math.isfinite(hi):
+        raise FloatRangeError(f"a^2 + 1 is beyond the float range at a={a!r}")
     fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
-    v, x, e = _interval_min(fam, None, a + 1.0, a * a + 1.0, grid)
+    v, x, e = _interval_min(fam, None, a + 1.0, hi, grid)
     return _sign_verdict("sign_test_euler", v, x, e, tol)
 
 

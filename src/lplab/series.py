@@ -366,16 +366,19 @@ def _indexed(name: str, least: int, fn: Callable[[int], float]) -> Callable[[int
 
 
 def quotients(family: SeriesFamily) -> QuotientView:
-    """Closed-form quotient view for named kinds, numeric for custom ones."""
+    """Closed-form quotient view for named kinds, numeric for custom ones.
+
+    The closed forms use integer constants only, so a ``Fraction``
+    parameter gives exact rational quotients."""
     a = family.a
     if family.kind is FamilyKind.EULER_F:
 
         def p(n: int) -> float:
-            return a**n + 1.0
+            return a**n + 1
 
         def q(n: int) -> float:
             # (a^n+1)/(a^{n-1}+1) in a form that never overflows
-            return a * (1.0 + a ** (-n)) / (1.0 + a ** (1 - n))
+            return a * (1 + a ** (-n)) / (1 + a ** (1 - n))
 
         limit, monotonicity = a, "increasing"
     elif family.kind is FamilyKind.THETA:
@@ -392,10 +395,10 @@ def quotients(family: SeriesFamily) -> QuotientView:
     elif family.kind is FamilyKind.EULER_H:
 
         def p(n: int) -> float:
-            return a**n - 1.0
+            return a**n - 1
 
         def q(n: int) -> float:
-            return a * (1.0 - a ** (-n)) / (1.0 - a ** (1 - n))
+            return a * (1 - a ** (-n)) / (1 - a ** (1 - n))
 
         limit, monotonicity = a, "decreasing"
     else:
@@ -421,16 +424,17 @@ def quotients(family: SeriesFamily) -> QuotientView:
     )
 
 
-def scaled_real_value(
-    family: SeriesFamily, x: float, drop: float = 60.0
-) -> Tuple[float, float, float]:
+_SCALED_DROP = 60.0  # nats below the peak term where scaled_real_value stops
+
+
+def scaled_real_value(family: SeriesFamily, x: float) -> Tuple[float, float, float]:
     """Evaluate the series at real x > 0 as mantissa * exp(log_scale).
 
     Intended for sign checks at arguments where individual terms overflow
     float range.  Returns (mantissa, log_scale, mantissa_error_bound); the
     true value is mantissa * exp(log_scale) with |error| <= the bound at the
     mantissa scale.  Terms are accumulated relative to the largest one; the
-    sum stops once log-terms have fallen ``drop`` nats below the peak and a
+    sum stops once log-terms have fallen 60 nats below the peak and a
     geometric majorant bounds the remainder.
     """
     if x <= 0:
@@ -449,7 +453,7 @@ def scaled_real_value(
         log_terms.append(log_terms[-1] + logx + lr)
         peak = max(log_terms)
         step = logx + family.log_ratio(k + 1)
-        if log_terms[-1] < peak - drop and step < 0.0:
+        if log_terms[-1] < peak - _SCALED_DROP and step < 0.0:
             # geometric tail beyond the last computed term, relative to peak
             ratio = math.exp(step)
             tail_scaled = math.exp(log_terms[-1] - peak) * ratio / (1.0 - ratio)

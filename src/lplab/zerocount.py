@@ -25,7 +25,6 @@ from .series import FamilyKind, SeriesFamily, _evaluators, evaluate_many, quotie
 
 _START_SAMPLES = 256
 _MAX_SAMPLES = 2**20
-_RESIDUAL_LIMIT = 0.05  # turns
 _MODULUS_SAFETY = 10.0
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -35,8 +34,11 @@ class WindingResult:
     """Integer zero count in a disk with its numerical certificate.
 
     ``residual`` is the distance of the raw winding integral from the
-    nearest integer, in turns.  ``certified`` requires residual < 0.05 and
-    a circle minimum safely above the evaluation error bound.
+    nearest integer, in turns.  It is reported but does not certify:
+    wrapped increments around a closed curve sum to whole turns, so it only
+    measures rounding.  ``certified`` requires every argument increment
+    below pi/2 on a circle whose minimum modulus is safely above the
+    evaluation error bound.
     """
 
     radius: float
@@ -94,11 +96,11 @@ def count_zeros_in_disk(
     """Zero count of the normalized series inside |u| < r by winding number.
 
     Trapezoidal accumulation of argument increments with adaptive doubling
-    of the sample count until every increment is below pi/2 and the raw
-    winding number is within 0.05 turns of an integer.  A circle passing
-    too close to a zero is retried at r*(1 +- k*1e-6) a few times before
-    raising ``ZeroOnCircleError``; exhausting the sample cap returns an
-    uncertified result instead of raising.
+    of the sample count until every increment is below pi/2; that rule alone
+    certifies the count, and the reported ``residual`` does not.  A circle
+    passing too close to a zero is retried at r*(1 +- k*1e-6) a few times
+    before raising ``ZeroOnCircleError``; exhausting the sample cap returns
+    an uncertified result instead of raising.
     """
     if not r > 0:
         raise ParameterError("radius must be positive")
@@ -125,9 +127,9 @@ def count_zeros_in_disk(
             count = int(round(raw))
             residual = abs(raw - count)
             increments_ok = float(np.max(np.abs(darg))) < 0.5 * math.pi
-            last_clean = WindingResult(rr, count, residual, min_mod, n, certified=False)
-            if increments_ok and residual < _RESIDUAL_LIMIT:
-                return WindingResult(rr, count, residual, min_mod, n, certified=True)
+            last_clean = WindingResult(rr, count, residual, min_mod, n, increments_ok)
+            if increments_ok:
+                return last_clean
             n *= 2
         if too_close:
             continue

@@ -1,6 +1,7 @@
 """CLI contract: grammar, JSON envelope, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 
@@ -295,3 +296,60 @@ def test_text_format(capsys):
     assert code == 0
     assert out.startswith("command: classify")
     assert "InLP" in out
+    # inputs in their JSON form, then the result as a JSON block
+    code = main(["eval", "--family", "eulerF", "--a", "4", "--z=-5,1", "--format", "text"])
+    out = capsys.readouterr().out
+    assert code == 0
+    head, block = out.split("result:\n")
+    assert head.splitlines() == [
+        "command: eval", "  family: eulerF", "  a: 4.0",
+        "  z: {'re': -5.0, 'im': 1.0}", "  tol: 1e-12",
+    ]
+    assert json.loads(block)["value"]["im"] != 0.0
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["eval", "--family", "eulerF", "--a", "4", "--z", "-5"],
+     {"family": "eulerF", "a": 4.0, "z": {"re": -5.0, "im": 0.0}, "tol": 1e-12}),
+    (["section", "--family", "theta", "--a", "2", "--n", "3", "--z", "1,2"],
+     {"family": "theta", "a": 2.0, "z": {"re": 1.0, "im": 2.0}, "n": 3}),
+    (["quotients", "--family", "eulerH", "--a", "3", "--n-max", "4"],
+     {"family": "eulerH", "a": 3.0, "n_max": 4}),
+    (["classify", "--a", "5"], {"a": 5.0, "tol": 1e-9}),
+    # no --n: the None default is left out
+    (["sign-test", "--family", "theta", "--a", "2"],
+     {"family": "theta", "a": 2.0, "grid": 512}),
+    (["zeros", "--a", "4", "--radius", "rho:2"], {"a": 4.0, "radius": "rho:2", "samples": 256}),
+    (["constants", "--name", "c_n", "--n", "2"], {"n": 2, "tol": 1e-6, "name": "c_n"}),
+    (["verify", "--lemma", "rouche", "--a-grid", "3.6:4.6:2"],
+     {"lemma": "rouche", "a_grid": [3.6, 4.6], "seed": 0}),
+    (["scan-conjecture", "--a-lo", "3.9", "--a-hi", "4", "--steps", "10"],
+     {"a_lo": 3.9, "a_hi": 4.0, "steps": 10}),
+])
+def test_inputs_echo_the_parsed_arguments(tmp_path, argv, inputs):
+    # every parsed argument but --format and --out, defaults included, in
+    # declaration order
+    target = tmp_path / "report.json"
+    assert main(argv + ["--format", "json", "--out", str(target)]) == 0
+    echoed = json.loads(target.read_text())["inputs"]
+    assert list(echoed.items()) == list(inputs.items())
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["quotients", "--family", "eulerF", "--a", "4", "--n-max", "6"], "table"),
+    (["constants", "--name", "thresholds"], "thresholds"),
+    (["verify", "--lemma", "rouche", "--a-grid", "2:3:3"], None),
+    (["scan-conjecture", "--a-lo", "3.9", "--a-hi", "4.0", "--steps", "10"], "points"),
+])
+def test_csv_is_the_json_table(capsys, argv, table):
+    _, doc = run_json(capsys, argv)
+    # verify's table is its one result row, each list reduced to its length
+    records = doc["result"][table] if table else [doc["result"]]
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+
+    def cell(v):
+        return str(len(v)) if isinstance(v, list) else "" if v is None else str(v)
+
+    assert header == list(records[0])
+    assert rows == [[cell(v) for v in rec.values()] for rec in records]

@@ -11,6 +11,7 @@ pin the behavior actually observed:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,9 +158,14 @@ def test_sign_test_rejects_bad_parameters():
         sign_test_euler(0.9)
     with pytest.raises(ParameterError):
         sign_test_theta(2.0, n=1)
-    # a^3 beyond the float range
-    with pytest.raises(FloatRangeError):
-        sign_test_theta(1e160)
+    # interval ends beyond the float range: a^3, and a^2 + 1 (no numpy
+    # overflow warning on the way)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match=r"a\^3"):
+            sign_test_theta(1e160)
+        with pytest.raises(FloatRangeError, match=r"a\^2 \+ 1"):
+            sign_test_euler(1e160)
 
 
 def test_one_verdict_rule_for_every_band():
