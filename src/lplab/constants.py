@@ -1,16 +1,16 @@
-"""Certified-bisection solvers for the critical constants.
+"""Bisection solvers for the critical constants.
 
 Every constant here is the transition point of a monotone boolean
-predicate (a sign test or a polynomial inequality).  Bisections first
-verify single-transition behavior on a coarse probe grid, then narrow the
-bracketing cell; the result is a ``Bracket`` whose endpoints carry the
-recorded predicate values.
+predicate on the margin of a sign test, or the root of a threshold
+polynomial.  Bisections first check for a single transition on a coarse
+probe grid, then narrow the bracketing cell; the result is a ``Bracket``
+whose endpoints carry the recorded predicate values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -20,12 +20,11 @@ from .criteria import (
     SIX_TERM_EXPANSION_COEFFS,
     SIX_TERM_REFERENCE_COEFFS,
     Verdict,
-    _interval_min,
     sign_test_euler,
+    sign_test_theta,
 )
 from .errors import BracketError, MonotonicityError, ParameterError
 from .polyroots import RealPolynomial, isolate_real_roots, refine
-from .series import FamilyKind, SeriesFamily
 
 _MAX_BISECT = 60
 _PROBE_POINTS = 32
@@ -102,14 +101,6 @@ def bisect_predicate(
 # theta-side constants
 # ---------------------------------------------------------------------------
 
-def _theta_min_value(s: float, n: Optional[int], grid: int = 512) -> float:
-    """Refined interval minimum of the alternating theta series (or its
-    degree-n section) on (a, a^3) at a = sqrt(s)."""
-    a = math.sqrt(s)
-    fam = SeriesFamily(FamilyKind.THETA, a, alternating=True)
-    return _interval_min(fam, n, a, a**3, grid)[0]
-
-
 # The sign-test interval is open; some sections vanish identically at the
 # excluded endpoint x = a^3 (the degree-3 one does), so a refined minimum
 # within roundoff of zero is not an interior witness.  The predicate asks
@@ -118,19 +109,24 @@ def _theta_min_value(s: float, n: Optional[int], grid: int = 512) -> float:
 _WITNESS_FLOOR = 1e-12
 
 
-def q_infinity(tol: float = 1e-6, grid: int = 512) -> Bracket:
-    """Enclose the critical squared parameter of the partial theta function
-    (approximately 3.2336367): bisection on s = a^2 over [3, 4] with the
-    predicate "the interval minimum is negative beyond roundoff"."""
+def _theta_bracket(
+    n: Optional[int], lo: float, hi: float, tol: float, grid: int, name: str
+) -> Bracket:
+    """Bisect s = a^2 over [lo, hi] on the predicate "the theta sign test
+    (degree-n section when n is given) at a = sqrt(s) has a minimum
+    negative beyond roundoff"."""
     if tol < 1e-10:
         raise ParameterError("tol below achievable resolution (min 1e-10)")
     return bisect_predicate(
-        lambda s: _theta_min_value(s, None, grid) <= -_WITNESS_FLOOR,
-        3.0,
-        4.0,
-        tol,
-        "q_infinity",
+        lambda s: sign_test_theta(math.sqrt(s), n, grid).margin <= -_WITNESS_FLOOR,
+        lo, hi, tol, name,
     )
+
+
+def q_infinity(tol: float = 1e-6, grid: int = 512) -> Bracket:
+    """Enclose the critical squared parameter of the partial theta function
+    (approximately 3.2336367) by bisection on s = a^2 over [3, 4]."""
+    return _theta_bracket(None, 3.0, 4.0, tol, grid, "q_infinity")
 
 
 def c_n(n: int, tol: float = 1e-6, grid: int = 512) -> Bracket:
@@ -139,15 +135,7 @@ def c_n(n: int, tol: float = 1e-6, grid: int = 512) -> Bracket:
     full-series constant."""
     if n < 2:
         raise ParameterError("c_n needs n >= 2")
-    if tol < 1e-10:
-        raise ParameterError("tol below achievable resolution (min 1e-10)")
-    return bisect_predicate(
-        lambda s: _theta_min_value(s, n, grid) <= -_WITNESS_FLOOR,
-        2.5,
-        4.5,
-        tol,
-        f"c_{n}",
-    )
+    return _theta_bracket(n, 2.5, 4.5, tol, grid, f"c_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +175,7 @@ def critical_a(
             "; bracket lies outside the quoted reference window "
             f"[{_EXPECTED_WINDOW[0]}, {_EXPECTED_WINDOW[1]}]"
         )
-    return Bracket(br.lo, br.hi, br.predicate, br.evaluations, br.pred_lo, br.pred_hi, note)
+    return replace(br, note=note)
 
 
 # ---------------------------------------------------------------------------

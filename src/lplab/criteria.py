@@ -190,14 +190,6 @@ def minimize_on_interval(
     return v, x, e
 
 
-def _interval_min(
-    family: SeriesFamily, n: Optional[int], lo: float, hi: float, grid: int
-) -> Tuple[float, float, float]:
-    """Minimum on (lo, hi) of the real series (``n=None``) or of its
-    degree-n section, as (min_value, argmin, error)."""
-    return minimize_on_interval(*_evaluators(family, n), lo, hi, grid)
-
-
 # ---------------------------------------------------------------------------
 # sign tests (the decisive equivalences)
 # ---------------------------------------------------------------------------
@@ -214,9 +206,7 @@ def sign_test_euler(a: float, grid: int = 512, tol: float = 1e-9) -> CriterionRe
     hi = a * a + 1.0
     if not math.isfinite(hi):
         raise FloatRangeError(f"a^2 + 1 is beyond the float range at a={a!r}")
-    fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
-    v, x, e = _interval_min(fam, None, a + 1.0, hi, grid)
-    return _sign_verdict("sign_test_euler", v, x, e, tol)
+    return _sign_test("sign_test_euler", FamilyKind.EULER_F, a, None, a + 1.0, hi, grid, tol)
 
 
 def sign_test_theta(
@@ -228,19 +218,23 @@ def sign_test_theta(
         raise ParameterError("requires a > 1")
     if n is not None and n < 2:
         raise ParameterError("section sign test needs n >= 2")
-    fam = SeriesFamily(FamilyKind.THETA, a, alternating=True)
     try:
         hi = a**3
     except OverflowError:
         raise FloatRangeError(f"a^3 is beyond the float range at a={a!r}") from None
-    v, x, e = _interval_min(fam, n, a, hi, grid)
     name = "sign_test_theta" if n is None else f"sign_test_theta_section{n}"
-    return _sign_verdict(name, v, x, e, tol)
+    return _sign_test(name, FamilyKind.THETA, a, n, a, hi, grid, tol)
 
 
-def _sign_verdict(
-    name: str, v: float, x: float, e: float, tol: float
+def _sign_test(
+    name: str, kind: FamilyKind, a: float, n: Optional[int],
+    lo: float, hi: float, grid: int, tol: float,
 ) -> CriterionReport:
+    """The one sign-test body: minimum on (lo, hi) of the alternating
+    series of ``kind`` at ``a`` (or of its degree-n section), as a report
+    whose margin and witness value are that minimum."""
+    fam = SeriesFamily(kind, a, alternating=True)
+    v, x, e = minimize_on_interval(*_evaluators(fam, n), lo, hi, grid)
     verdict = _verdict(v, tol + e, Verdict.IN_LP, Verdict.NOT_IN_LP)
     return CriterionReport(name, verdict, v, witness_x=x, witness_value=v)
 
@@ -398,7 +392,7 @@ def six_term_section_test(a: float, tol: float = 1e-9) -> CriterionReport:
             f"six-term closed form {closed!r} and direct section {direct!r} "
             "disagree beyond 1e-9 relative"
         )
-    band = tol + 64.0 * _EPS
+    band = tol + _verdict_band(1.0)
     exact_sign = _sign(SIX_TERM_EXPANSION_COEFFS, *_dyadic(float(a)))
     if abs(closed) > band and math.copysign(1, closed) != exact_sign:
         raise ConsistencyError(

@@ -290,21 +290,11 @@ def refine(p: RealPolynomial, bracket: RootBracket, tol: float) -> float:
 
 
 def is_real_rooted(p: RealPolynomial) -> bool:
-    """True iff the number of real roots counted with multiplicity equals
-    the degree (square-free reduction handles multiplicity exactly)."""
-    if p.degree <= 0:
-        return True
-    return _real_count_with_multiplicity(_to_int_poly(p.coeffs), p._square_free_ints) == p.degree
-
-
-def _real_count_with_multiplicity(p: IntPoly, ps: IntPoly) -> int:
-    """Real roots of p with multiplicity, given its square-free part ps:
-    the distinct ones, plus those of p / ps = gcd(p, p') with multiplicity."""
-    distinct = _count_all(_sturm_chain(ps)) if len(ps) > 1 else 0
-    if len(ps) == len(p):
-        return distinct
-    g = _exact_quotient(p, ps)
-    return distinct + _real_count_with_multiplicity(g, _square_free(g))
+    """True iff every root of p is real.  p and its square-free part ps have
+    the same distinct roots, so this holds iff ps has deg ps distinct real
+    roots."""
+    ps = p._square_free_ints
+    return len(ps) <= 1 or _count_all(_sturm_chain(ps)) == len(ps) - 1
 
 
 def count_real_roots(p: RealPolynomial, interval: Optional[Tuple[float, float]] = None) -> int:

@@ -67,7 +67,7 @@ class SeriesFamily:
                 self, "custom_log_coeffs", tuple(float(c) for c in self.custom_log_coeffs)
             )
         else:
-            if not (self.a > 1.0 and math.isfinite(self.a)):
+            if not 1.0 < self.a < math.inf:
                 raise ParameterError(
                     f"{self.kind.value} family requires finite a > 1, got a={self.a!r}"
                 )
@@ -358,7 +358,7 @@ def _indexed(name: str, least: int, fn: Callable[[int], float]) -> Callable[[int
             v = fn(n)
         except OverflowError:
             v = math.inf
-        if not math.isfinite(v):
+        if not -math.inf < v < math.inf:
             raise FloatRangeError(f"{name}({n}) is beyond the float range")
         return v
 
@@ -390,7 +390,7 @@ def quotients(family: SeriesFamily) -> QuotientView:
             return a * a
 
         limit, monotonicity = a * a, "constant"
-        if not math.isfinite(limit):
+        if not limit < math.inf:
             raise FloatRangeError(f"q_n = a^2 is beyond the float range at a={a!r}")
     elif family.kind is FamilyKind.EULER_H:
 

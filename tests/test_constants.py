@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lplab import constants
 from lplab.constants import (
     bisect_predicate,
     c_n,
@@ -12,6 +13,7 @@ from lplab.constants import (
     threshold_table,
     transition_scan,
 )
+from lplab.criteria import sign_test_theta
 from lplab.errors import BracketError, MonotonicityError, ParameterError
 
 Q_INF = 3.2336366658766087  # frozen from an independent 70-step bisection
@@ -27,10 +29,23 @@ def test_q_infinity_bracket():
 
 
 def test_q_infinity_predicate_endpoints():
-    from lplab.constants import _theta_min_value
+    # s = a^2 = 4 is past the transition, s = 3 before it
+    assert sign_test_theta(2.0).margin <= 0.0
+    assert sign_test_theta(math.sqrt(3.0)).margin > 0.0
 
-    assert _theta_min_value(4.0, None) <= 0.0
-    assert _theta_min_value(3.0, None) > 0.0
+
+def test_theta_constants_evaluate_only_the_sign_test(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sign_test_theta(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "sign_test_theta", counting)
+    for bracket in (lambda: q_infinity(1e-6), lambda: c_n(5, 1e-6)):
+        calls.clear()
+        br = bracket()
+        assert len(calls) == br.evaluations
 
 
 def test_c2_and_c3_exact_values():

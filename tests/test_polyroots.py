@@ -265,6 +265,11 @@ def _oracle_refine(lead, roots, lo, hi, tol):
 @given(_planted(), st.sampled_from([1e-6, 1e-12, 1e-300]))
 @example((Fraction(1), {Fraction(-1): 3, Fraction(0): 1, Fraction(1): 2}, [], (Fraction(-1), Fraction(1))),
          1e-12)
+# a repeated complex factor, (x^2+1)^2 (x-1), and repeated real roots only,
+# (x-1)^2 (x+2)^3: real-rootedness is read off the square-free part
+@example((Fraction(1), {Fraction(1): 1}, [(Fraction(0), Fraction(1))] * 2, (Fraction(-2), Fraction(2))),
+         1e-12)
+@example((Fraction(1), {Fraction(1): 2, Fraction(-2): 3}, [], (Fraction(-3), Fraction(3))), 1e-12)
 def test_exact_layer_matches_planted_factors(case, tol):
     # roots and interval ends on a quarter grid: ends can sit on roots
     # (nudge) and bisection midpoints can hit roots exactly (step-off)

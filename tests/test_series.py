@@ -134,6 +134,11 @@ def test_quotient_overflow_is_a_float_range_error():
         quotients(theta(1e200)).q(2)
     with pytest.raises(FloatRangeError):
         quotients(theta(1e200)).limit
+    # an exact parameter gives exact values, however far past the float range
+    big = Fraction(10**200)
+    assert quotients(theta(big)).limit == 10**400
+    assert quotients(eulerF(big)).p(2) == 10**400 + 1
+    assert eulerF(Fraction(10**400)).a == 10**400
 
 
 def test_non_finite_points_are_rejected_before_the_sum(monkeypatch):
