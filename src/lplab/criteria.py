@@ -353,14 +353,20 @@ def _six_term_section_values(a: float) -> Tuple[float, float, float]:
     fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
     qv = quotients(fam)
     q2, q3, q4, q5, q6 = (qv.q(j) for j in range(2, 7))
-    closed = (
-        1.0
-        - (2.0 / 9.0) * q2
-        - (8.0 / 27.0) * (q2 / q3)
-        + (16.0 / 81.0) * (q2 / (q3 * q3 * q4))
-        - (32.0 / 243.0) * (q2 / (q3**3 * q4 * q4 * q5))
-        + (64.0 / 729.0) * (q2 / (q3**4 * q4**3 * q5 * q5 * q6))
-    )
+    try:
+        closed = (
+            1.0
+            - (2.0 / 9.0) * q2
+            - (8.0 / 27.0) * (q2 / q3)
+            + (16.0 / 81.0) * (q2 / (q3 * q3 * q4))
+            - (32.0 / 243.0) * (q2 / (q3**3 * q4 * q4 * q5))
+            + (64.0 / 729.0) * (q2 / (q3**4 * q4**3 * q5 * q5 * q6))
+        )
+    except OverflowError:
+        raise FloatRangeError(
+            f"a power of q_3 or q_4 in the six-term closed form is beyond the "
+            f"float range at a={a!r}"
+        ) from None
     z0 = (2.0 / 3.0) * (a + 1.0) * q2
     direct, _ = section_sum(fam, 6, z0)
     return closed, direct, z0

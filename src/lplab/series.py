@@ -23,6 +23,8 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -37,6 +39,7 @@ from .errors import (
 
 _EPS = float(np.finfo(float).eps)
 _TERM_CAP = 10_000
+_TABLE_START = 32  # first ratio table of a full series; most sums need fewer terms
 
 
 class FamilyKind(str, Enum):
@@ -71,17 +74,49 @@ class SeriesFamily:
                 raise ParameterError(
                     f"{self.kind.value} family requires finite a > 1, got a={self.a!r}"
                 )
+        # The memo behind _ratio_table, outside the dataclass fields so that
+        # ==, hash and repr ignore it.  Only ratios whose value cannot depend
+        # on a context precision are kept: custom ratios are floats, and
+        # float, int and Fraction parameters round the same way every time;
+        # an mpmath parameter rounds at the working precision of the call.
+        fixed = self.kind is FamilyKind.CUSTOM or isinstance(self.a, (float, int, Fraction))
+        object.__setattr__(self, "_memo", [] if fixed else None)
 
     # -- coefficient ratios ------------------------------------------------
 
     def ratio(self, k: int) -> float:
-        """a_k / a_{k-1} for k >= 1 (0.0 past the end of a custom sequence).
+        """a_k / a_{k-1} for k >= 1 (0.0 past the end of a custom sequence
+        and where a^k overflows, inf where a custom ratio overflows).
 
         Integer constants keep the arithmetic in the parameter's own scalar
         type, so extended-precision parameters stay extended-precision.
         """
         if k < 1:
             raise ParameterError("ratio index must be >= 1")
+        memo = self._memo
+        if memo is not None and k < len(memo):
+            return memo[k]
+        return self._ratio(k)
+
+    def _ratio_table(self, size: int) -> list:
+        """[a_0, ratio(1), ratio(2), ...] with at least ``size`` entries.
+
+        The memo grows by replacement, never in place, so a list already
+        handed out stays valid and a concurrent grower cannot misplace an
+        entry.  Without a memo the table is computed afresh.
+        """
+        table = self._memo
+        if table is None:
+            table = []
+        if len(table) < size:
+            table = table + [
+                self._ratio(k) if k else _first_coefficient(self) for k in range(len(table), size)
+            ]
+            if self._memo is not None:
+                object.__setattr__(self, "_memo", table)
+        return table
+
+    def _ratio(self, k: int) -> float:
         a = self.a
         try:
             if self.kind is FamilyKind.EULER_F:
@@ -95,7 +130,10 @@ class SeriesFamily:
         lc = self.custom_log_coeffs
         if k >= len(lc):
             return 0.0
-        return math.exp(lc[k] - lc[k - 1])
+        try:
+            return math.exp(lc[k] - lc[k - 1])
+        except OverflowError:
+            return math.inf  # a sum that multiplies by it raises FloatRangeError
 
     def log_ratio(self, k: int) -> float:
         """ln(a_k / a_{k-1}), computed without forming a^k when it overflows."""
@@ -113,7 +151,7 @@ class SeriesFamily:
             return -math.inf
         return lc[k] - lc[k - 1]
 
-    @property
+    @cached_property
     def n_terms(self) -> Optional[int]:
         """Number of terms for custom families, None for the entire ones."""
         if self.kind is FamilyKind.CUSTOM:
@@ -220,24 +258,32 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
         wmax = top(absw)
         if not wmax < math.inf:  # nan fails this test too
             raise ParameterError(f"non-finite point {_where(z)}")
-        term = _first_coefficient(family) * z**0
+        rs = family._ratio_table(min(last + 2, _TABLE_START))
+        term = rs[0] * z**0
         total, abs_acc = term, abs(term)
         if n is None and wmax == 0:
             return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
-        r = family.ratio(1)
+        r = rs[1]
         for k in range(1, last + 1):
             term = mul(term, w * r)
             total = total + term
             abs_acc = abs_acc + abs(term)
-            r = family.ratio(k + 1)
-            if n is None and wmax * r < 1.0:
-                rho = absw * r
-                tail = abs(term) * rho / (1.0 - rho)
-                excess = top(tail - rel_tol * larger(1.0, abs(total)))
-                if excess <= 0:
-                    bound, terms = tail + 4.0 * _EPS * k * abs_acc, k + 1
-                    break
-                if not (excess < math.inf or top(abs_acc) < math.inf):
+            try:
+                r = rs[k + 1]
+            except IndexError:  # the table doubles, up to the last ratio needed
+                rs = family._ratio_table(min(2 * k + 2, last + 2))
+                r = rs[k + 1]
+            if n is None:
+                if wmax * r < 1.0:
+                    rho = absw * r
+                    tail = abs(term) * rho / (1.0 - rho)
+                    excess = top(tail - rel_tol * larger(1.0, abs(total)))
+                    if excess <= 0:
+                        bound, terms = tail + 4.0 * _EPS * k * abs_acc, k + 1
+                        break
+                    if not (excess < math.inf or top(abs_acc) < math.inf):
+                        raise FloatRangeError(f"the terms overflow {_where(z)}")
+                elif not top(abs_acc) < math.inf:  # still growing, already past the range
                     raise FloatRangeError(f"the terms overflow {_where(z)}")
         else:
             terms = last + 1

@@ -54,6 +54,8 @@ def _normalizing_scale(family: SeriesFamily) -> float:
     r1 = family.ratio(1)
     if r1 <= 0.0:
         raise ParameterError("family has no second coefficient to normalize by")
+    if not r1 < math.inf:
+        raise FloatRangeError("a_1/a_0 is beyond the float range")
     return 1.0 / r1
 
 

@@ -259,6 +259,15 @@ def test_six_term_verdicts():
     assert near.verdict is Verdict.BOUNDARY
 
 
+def test_six_term_overflow_is_a_float_range_error():
+    # q_3 ~ a, so q_3**4 leaves the float range past a ~ 1e77 and q_3**3
+    # past a ~ 5.6e102; the cascade decides at hutchinson long before
+    for a in (1e100, 1e160):
+        with pytest.raises(FloatRangeError, match="six-term closed form"):
+            six_term_section_test(a)
+        assert classify_euler(a).criterion == "hutchinson"
+
+
 def test_six_term_sign_is_exact_and_checked(monkeypatch):
     # the exact integer sign at the dyadic a agrees with the float Horner
     # value wherever that value is well clear of its roundoff

@@ -1,0 +1,46 @@
+"""Bit patterns of a few outputs, frozen as float.hex.
+
+A speed-up of the term recurrence or the minimizer must leave every value,
+bound and bracket the same float: these fail on any reordered operation.
+"""
+
+from lplab.constants import q_infinity
+from lplab.criteria import sign_test_euler
+from lplab.series import FamilyKind, SeriesFamily, evaluate, section_sum
+
+
+def _hex(v):
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+
+
+# (kind, a, alternating, z) -> (value, abs_error_bound, terms_used)
+EVALUATE = {
+    (FamilyKind.EULER_F, 3.8, True, 5.0):
+        ("0x1.1093d9639bf6cp-2", "0x1.14bbb5c5e7e90p-46", 8),
+    (FamilyKind.EULER_F, 3.8, True, complex(-2.0, 7.5)):
+        (("0x1.44b970ced9f37p-1", "-0x1.e22fd2d442b74p+0"), "0x1.39bf71da6376ep-45", 8),
+    (FamilyKind.THETA, 1.7, False, 2.5):
+        ("0x1.adef1df6c740bp+1", "0x1.82461efeaf8d3p-39", 8),
+    (FamilyKind.THETA, 1.7, False, complex(-3.0, 1.0)):
+        (("0x1.820a259ec62a0p-5", "0x1.1e5e9523d577ep-4"), "0x1.5386cf9c42031p-45", 9),
+    (FamilyKind.EULER_H, 2.5, False, -4.0):
+        ("-0x1.13a49c7e410ebp-3", "0x1.adea2815a892fp-41", 9),
+    (FamilyKind.EULER_H, 2.5, False, complex(1.5, -6.0)):
+        (("-0x1.ba806ed15576cp+1", "-0x1.1f8588239d7f3p+2"), "0x1.1403584984086p-43", 10),
+}
+
+
+def test_outputs_keep_their_bits():
+    for (kind, a, alternating, z), want in EVALUATE.items():
+        res = evaluate(SeriesFamily(kind, a, alternating=alternating), z)
+        assert (_hex(res.value), res.abs_error_bound.hex(), res.terms_used) == want
+    value, bound = section_sum(SeriesFamily(FamilyKind.EULER_F, 3.8, alternating=True), 8, 5.0)
+    assert (value.hex(), bound.hex()) == ("0x1.1093d9639bf73p-2", "0x1.5b06ca66663b7p-46")
+    rep = sign_test_euler(3.95)
+    assert (rep.margin.hex(), rep.witness_x.hex()) == (
+        "0x1.89f27127d9a01p-9", "0x1.61b77d41f419fp+3"
+    )
+    br = q_infinity(1e-7)
+    assert (br.lo.hex(), br.hi.hex(), br.evaluations) == (
+        "0x1.9de7cdef7bdf0p+1", "0x1.9de7ce739ce74p+1", 51
+    )

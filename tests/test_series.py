@@ -1,5 +1,6 @@
 """Series engine tests against exact rational-arithmetic oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -102,21 +103,25 @@ def test_overflowing_terms_raise_instead_of_returning_inf():
 
 
 def test_overflow_stops_the_sum_where_the_terms_leave_float_range(monkeypatch):
-    # theta(1.01) at |z| = 1e6 overflows before its terms start to decay
-    # (k ~ 695); the sum stops there, not at the 10,000-term cap
+    # The terms of theta(1.01) at |z| = 1e6 pass the float range near
+    # k = 54, long before they start to decay (k ~ 695); those of
+    # theta(1.005) at |z| = 1e60 would still grow at the 10,000-term cap.
+    # Each sum stops where sum |t_k| leaves the float range.  A fresh family
+    # per call, so that every ratio the sum reads is computed and counted.
     steps = []
-    ratio = SeriesFamily.ratio
-    monkeypatch.setattr(SeriesFamily, "ratio", lambda fam, k: steps.append(k) or ratio(fam, k))
-    fam = theta(1.01)
-    for call, z in (
-        (evaluate, complex(1e6, 1.0)),
-        (evaluate_many, np.array([1e6, 2.0])),
-        (evaluate_many, np.array([1e6, 2.0], dtype=complex)),
+    compute = SeriesFamily._ratio
+    monkeypatch.setattr(SeriesFamily, "_ratio", lambda fam, k: steps.append(k) or compute(fam, k))
+    for a, call, z in (
+        (1.01, evaluate, complex(1e6, 1.0)),
+        (1.01, evaluate_many, np.array([1e6, 2.0])),
+        (1.01, evaluate_many, np.array([1e6, 2.0], dtype=complex)),
+        (1.005, evaluate, 1e60),
+        (1.005, evaluate_many, np.array([2.0, 1e60])),
     ):
         steps.clear()
         with pytest.raises(FloatRangeError):
-            call(fam, z)
-        assert len(steps) < 1000
+            call(theta(a), z)
+        assert len(steps) < 100
 
 
 def test_complex_abs_overflow_is_a_float_range_error():
@@ -143,8 +148,8 @@ def test_quotient_overflow_is_a_float_range_error():
 
 def test_non_finite_points_are_rejected_before_the_sum(monkeypatch):
     steps = []
-    ratio = SeriesFamily.ratio
-    monkeypatch.setattr(SeriesFamily, "ratio", lambda fam, k: steps.append(k) or ratio(fam, k))
+    compute = SeriesFamily._ratio
+    monkeypatch.setattr(SeriesFamily, "_ratio", lambda fam, k: steps.append(k) or compute(fam, k))
     for z in (math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(1.0, math.inf)):
         with pytest.raises(ParameterError):
             evaluate(eulerF(4.0), z)
@@ -190,6 +195,52 @@ def test_ratio_consistency(fam):
     for k in range(1, 41):
         lhs = math.exp(coefficient_log(fam, k) - coefficient_log(fam, k - 1))
         assert lhs == pytest.approx(fam.ratio(k), rel=1e-13)
+
+
+@pytest.mark.parametrize("fam", [
+    eulerF(3.8, alternating=True), theta(1.7), eulerH(2.5),
+    eulerF(1e200), theta(1e200), eulerH(1e200),
+    SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.3, -0.2, -1.5, -4.0)),
+])
+def test_memoized_ratios_are_the_computed_ones(fam):
+    # ratio(k) of an unused family is computed on the spot; the memo a sum
+    # fills must hold the same floats, bit for bit, including the 0.0 past
+    # a custom family's end and the 0.0 where a**k overflows (a = 1e200)
+    computed = [dataclasses.replace(fam).ratio(k) for k in range(1, 41)]
+    if fam.kind is FamilyKind.CUSTOM:
+        assert computed[3:] == [0.0] * 37
+    elif fam.a == 1e200 and fam.kind is not FamilyKind.THETA:
+        assert computed[1] == 0.0
+    before = evaluate(fam, 2.5)
+    assert section_sum(fam, 40, 0.5) == section_sum(dataclasses.replace(fam), 40, 0.5)
+    assert evaluate(fam, 2.5) == before
+    table = fam._ratio_table(41)
+    for k, want in enumerate(computed, start=1):
+        assert want.hex() == table[k].hex() == fam.ratio(k).hex()
+
+
+def test_memo_keeps_exact_ratios_for_fraction_parameters():
+    fam = SeriesFamily(FamilyKind.THETA, Fraction(3, 2))
+    evaluate(fam, Fraction(1, 2), rel_tol=1e-20)  # fills the memo
+    for k in range(1, 20):
+        assert fam.ratio(k) == exact_ratio(FamilyKind.THETA, Fraction(3, 2), k)
+        assert isinstance(fam.ratio(k), Fraction)
+
+
+def test_mpmath_ratios_follow_the_working_precision():
+    # an mpmath parameter rounds at the precision of the call, so a ratio
+    # computed at 15 digits must never serve a sum at 50
+    fam = SeriesFamily(FamilyKind.EULER_F, mpmath.mpf(4))
+    oracle, _ = exact_sum(FamilyKind.EULER_F, Fraction(4), Fraction(1, 3))
+    with mpmath.workdps(15):
+        low = evaluate(fam, mpmath.mpf(1) / 3, rel_tol=1e-15).value
+    with mpmath.workdps(50):
+        high = evaluate(fam, mpmath.mpf(1) / 3, rel_tol=mpmath.mpf(10) ** -45).value
+        assert fam.ratio(7) == 1 / (mpmath.mpf(4) ** 7 + 1)
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(oracle.numerator) / oracle.denominator
+        assert abs(high - exact) < mpmath.mpf(10) ** -45
+        assert abs(low - exact) > mpmath.mpf(10) ** -30
 
 
 @pytest.mark.parametrize("a", [2.5, 4.0, 5.5])
@@ -279,12 +330,15 @@ def test_single_coefficient_family_bound_is_the_same_for_points_and_batches():
 
 
 def test_evaluate_truncation_failure_carries_partial():
-    # slow theta decay with a huge argument exhausts the term cap
-    fam = theta(1.005)
+    # theta(1.000002) decays so slowly that at z = 1.04 its terms grow up to
+    # k ~ 9,800 and stay far above the tail target at the term cap, while
+    # their sum stays in float range
+    fam = theta(1.000002)
     with pytest.raises(TruncationError) as exc:
-        evaluate(fam, 1e60, rel_tol=1e-12)
+        evaluate(fam, 1.04, rel_tol=1e-12)
     assert exc.value.partial is not None
     assert exc.value.partial.terms_used == 10_000
+    assert math.isfinite(exc.value.partial.value)
 
 
 # ---------------------------------------------------------------------------
