@@ -1,10 +1,11 @@
-"""Bisection solvers for the critical constants.
+"""Root-finding drivers for the critical constants.
 
-Every constant here is the transition point of a monotone boolean
-predicate on the margin of a sign test, or the root of a threshold
-polynomial.  Bisections first check for a single transition on a coarse
-probe grid, then narrow the bracketing cell; the result is a ``Bracket``
-whose endpoints carry the recorded predicate values.
+Every constant here is the transition point of the monotone predicate
+"a sign test's margin is <= 0", or the root of a threshold polynomial.
+The driver first checks for a single transition on a coarse probe grid,
+then narrows the flip cell by ITP root-finding on the continuous margin;
+the result is a ``Bracket`` whose endpoints carry the recorded predicate
+values.
 """
 
 from __future__ import annotations
@@ -26,13 +27,21 @@ from .criteria import (
 from .errors import BracketError, MonotonicityError, ParameterError
 from .polyroots import RealPolynomial, isolate_real_roots, refine
 
-_MAX_BISECT = 60
-_PROBE_POINTS = 32
+_PROBE_POINTS = 12
+# ITP's truncation constants (Oliveira & Takahashi, ACM TOMS 47, 2021):
+# kappa_1 = _ITP_K1 / (cell width), kappa_2 = 2, and n0 = _ITP_SLACK steps
+# beyond bisection's count.
+_ITP_K1 = 0.2
+_ITP_SLACK = 1
 
 
 @dataclass(frozen=True)
 class Bracket:
-    """A certified enclosure of a predicate's transition point."""
+    """An enclosure [lo, hi] of a predicate's transition point.
+
+    ``pred_lo`` and ``pred_hi`` are the predicate values evaluated at the
+    two ends, and ``evaluations`` counts every predicate evaluation made,
+    probe scan included."""
 
     lo: float
     hi: float
@@ -52,24 +61,37 @@ class Bracket:
 
 
 def bisect_predicate(
-    pred: Callable[[float], bool],
+    margin: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float,
     name: str,
 ) -> Bracket:
-    """Bisect a monotone boolean predicate after a probe-grid sanity scan.
+    """Enclose the transition of the monotone predicate ``margin(x) <= 0``.
+
+    A ``_PROBE_POINTS``-point scan finds the one probe cell where the
+    predicate flips; a tol at least that cell's width returns the cell.
+    ITP root-finding on the continuous margin then narrows the cell to
+    tol/8, in at most one step more than bisection would take.  The ends
+    returned are two fresh evaluations at m -/+ 0.4 tol (clamped to the
+    cell) around the midpoint m of the ITP bracket, so each lies about
+    tol/3 from the crossing, clear of the roundoff zone where the margin's
+    sign is in doubt.  ``evaluations`` counts every margin call.
 
     Raises ``BracketError`` when the predicate does not change across
-    [lo, hi] and ``MonotonicityError`` (with the scan attached) when it
-    changes more than once on the probe grid.
+    [lo, hi], and ``MonotonicityError`` (with the scan attached) when it
+    changes more than once on the probe grid or an end lands on the wrong
+    side of the crossing.
     """
     if not lo < hi:
         raise ParameterError("need lo < hi")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    xs = np.linspace(lo, hi, _PROBE_POINTS)
-    scan = [(float(x), bool(pred(float(x)))) for x in xs]
+    if tol < 16.0 * math.ulp(max(abs(lo), abs(hi))):
+        raise ParameterError("tol below the float resolution of [lo, hi]")
+    xs = [float(x) for x in np.linspace(lo, hi, _PROBE_POINTS)]
+    ys = [margin(x) for x in xs]
+    scan = [(x, bool(y <= 0.0)) for x, y in zip(xs, ys)]
     evals = len(scan)
     flips = [i for i in range(len(scan) - 1) if scan[i][1] != scan[i + 1][1]]
     if not flips:
@@ -83,18 +105,44 @@ def bisect_predicate(
             scan=scan,
         )
     i = flips[0]
-    a, pa = scan[i]
-    b, pb = scan[i + 1]
-    for _ in range(_MAX_BISECT):
-        if b - a <= tol:
+    a, b, ya, yb = xs[i], xs[i + 1], ys[i], ys[i + 1]
+    pa, pb = scan[i][1], scan[i + 1][1]
+    if b - a <= tol:
+        return Bracket(a, b, name, evals, pa, pb)
+    # ITP with half-width target eps: interpolate (regula falsi), truncate
+    # towards the midpoint, project into bisection's worst-case reach
+    eps = tol / 16.0
+    n_max = math.ceil(math.log2((b - a) / (2.0 * eps))) + _ITP_SLACK
+    k1 = _ITP_K1 / (b - a)
+    for j in range(n_max):
+        if b - a <= 2.0 * eps:
             break
         mid = 0.5 * (a + b)
+        x_f = (yb * a - ya * b) / (yb - ya)
+        if not a < x_f < b:  # a nan margin or a rounded-away quotient
+            x_f = mid
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = k1 * (b - a) ** 2
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        r = eps * 2.0 ** (n_max - j) - 0.5 * (b - a)
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        y = margin(x)
         evals += 1
-        if pred(mid) == pa:
-            a = mid
+        if (y <= 0.0) == pa:
+            a, ya = x, y
         else:
-            b = mid
-    return Bracket(a, b, name, evals, pa, pb)
+            b, yb = x, y
+    m, d = 0.5 * (a + b), 0.4 * tol
+    ends = (max(m - d, xs[i]), min(m + d, xs[i + 1]))
+    for x, want, side in zip(ends, (pa, pb), ("lower", "upper")):
+        evals += 1
+        if (margin(x) <= 0.0) != want:
+            raise MonotonicityError(
+                f"{name}: the predicate at {x!r} is not {want}, as at the "
+                f"{side} end of its probe cell",
+                scan=scan,
+            )
+    return Bracket(ends[0], ends[1], name, evals, pa, pb)
 
 
 # ---------------------------------------------------------------------------
@@ -104,35 +152,41 @@ def bisect_predicate(
 # The sign-test interval is open; some sections vanish identically at the
 # excluded endpoint x = a^3 (the degree-3 one does), so a refined minimum
 # within roundoff of zero is not an interior witness.  The predicate asks
-# for a value below this floor instead of below exactly zero; it shifts the
-# located constants by O(1e-11), far inside every supported tolerance.
+# for a value below this floor instead of below exactly zero.  Where the
+# margin crosses zero with a nonzero slope that shifts a constant by
+# O(1e-11); c_3's margin leaves zero like -0.39 (s - 3)^(3/2), so the floor
+# moves c_n(3) up by (1e-12 / 0.39)^(2/3), about 1.9e-8, and its brackets
+# at tol below that exclude the exact c_3 = 3.
 _WITNESS_FLOOR = 1e-12
 
 
 def _theta_bracket(
     n: Optional[int], lo: float, hi: float, tol: float, grid: int, name: str
 ) -> Bracket:
-    """Bisect s = a^2 over [lo, hi] on the predicate "the theta sign test
-    (degree-n section when n is given) at a = sqrt(s) has a minimum
-    negative beyond roundoff"."""
+    """Locate s = a^2 in [lo, hi] where the theta sign test (degree-n
+    section when n is given) at a = sqrt(s) starts to have a minimum at or
+    below -_WITNESS_FLOOR: the driver's margin is the minimum plus the
+    floor."""
     if tol < 1e-10:
         raise ParameterError("tol below achievable resolution (min 1e-10)")
     return bisect_predicate(
-        lambda s: sign_test_theta(math.sqrt(s), n, grid).margin <= -_WITNESS_FLOOR,
+        lambda s: sign_test_theta(math.sqrt(s), n, grid).margin + _WITNESS_FLOOR,
         lo, hi, tol, name,
     )
 
 
 def q_infinity(tol: float = 1e-6, grid: int = 512) -> Bracket:
     """Enclose the critical squared parameter of the partial theta function
-    (approximately 3.2336367) by bisection on s = a^2 over [3, 4]."""
+    (approximately 3.2336367) by root-finding on s = a^2 over [3, 4]."""
     return _theta_bracket(None, 3.0, 4.0, tol, grid, "q_infinity")
 
 
 def c_n(n: int, tol: float = 1e-6, grid: int = 512) -> Bracket:
     """Enclose the critical squared parameter for the degree-n theta
-    section; c_2 = 4 and c_3 = 3 exactly, and both parities converge to the
-    full-series constant."""
+    section, by root-finding on s = a^2 over [2.5, 4.5].  Both parities
+    converge to the full-series constant.  The exact values are c_2 = 4 and
+    c_3 = 3, but the witness floor biases c_n(3) by about +1.9e-8 (see
+    ``_WITNESS_FLOOR``), so its brackets at tol below that miss 3."""
     if n < 2:
         raise ParameterError("c_n needs n >= 2")
     return _theta_bracket(n, 2.5, 4.5, tol, grid, f"c_{n}")
@@ -152,7 +206,8 @@ def critical_a(
     grid: int = 512,
 ) -> Bracket:
     """NON-RIGOROUS ESTIMATE of the Euler-family critical parameter by
-    bisection on the interval-minimum sign test.
+    root-finding on the interval-minimum sign test (predicate: minimum
+    <= 0).
 
     The default search window [3.9, 3.92] brackets the historically quoted
     range; direct evaluation puts the sign change near 3.96423, outside
@@ -163,7 +218,7 @@ def critical_a(
     if tol < 1e-8:
         raise ParameterError("tol below achievable resolution (min 1e-8)")
     br = bisect_predicate(
-        lambda a: sign_test_euler(a, grid).margin <= 0.0,
+        lambda a: sign_test_euler(a, grid).margin,
         a_lo,
         a_hi,
         tol,

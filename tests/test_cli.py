@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lplab import constants
 from lplab.cli import main
 from lplab.verify import check_block_inequalities
 
@@ -114,6 +115,15 @@ def test_constants_q_infinity(capsys):
     assert code == 0
     assert doc["result"]["lo"] <= 3.23363666 <= doc["result"]["hi"]
     assert doc["error_bounds"]["width"] <= 1e-6
+
+
+def test_constants_tolerance_wider_than_the_probe_cell(capsys):
+    code = main(["constants", "--name", "q_infinity", "--tol", "1e300"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0
+    assert doc["result"]["evaluations"] == constants._PROBE_POINTS
+    assert doc["result"]["lo"] <= 3.23363666 <= doc["result"]["hi"]
+    assert doc["error_bounds"] == {"width": pytest.approx(1.0 / 11.0), "tol": 1e300}
 
 
 def test_constants_c_n_requires_n(capsys):

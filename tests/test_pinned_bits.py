@@ -42,5 +42,8 @@ def test_outputs_keep_their_bits():
     )
     br = q_infinity(1e-7)
     assert (br.lo.hex(), br.hi.hex(), br.evaluations) == (
-        "0x1.9de7cdef7bdf0p+1", "0x1.9de7ce739ce74p+1", 51
+        "0x1.9de7ce1658de5p+1", "0x1.9de7cec225557p+1", 21
     )
+    # it meets the bracket of the 32-point probe and bisection (51 evaluations)
+    old_lo, old_hi = "0x1.9de7cdef7bdf0p+1", "0x1.9de7ce739ce74p+1"
+    assert br.lo <= float.fromhex(old_hi) and float.fromhex(old_lo) <= br.hi
