@@ -76,7 +76,11 @@ def bisect_predicate(
     returned are two fresh evaluations at m -/+ 0.4 tol (clamped to the
     cell) around the midpoint m of the ITP bracket, so each lies about
     tol/3 from the crossing, clear of the roundoff zone where the margin's
-    sign is in doubt.  ``evaluations`` counts every margin call.
+    sign is in doubt.  An ITP point where the margin is exactly zero, with
+    the margin nonzero at the bracket end on its side, closes the bracket
+    there (m is that point) once the end beyond it shows the flip; a zero
+    margin at that bracket end marks a margin flat at zero, which ITP
+    narrows as usual.  ``evaluations`` counts every margin call.
 
     Raises ``BracketError`` when the predicate does not change across
     [lo, hi], and ``MonotonicityError`` (with the scan attached) when it
@@ -114,6 +118,7 @@ def bisect_predicate(
     eps = tol / 16.0
     n_max = math.ceil(math.log2((b - a) / (2.0 * eps))) + _ITP_SLACK
     k1 = _ITP_K1 / (b - a)
+    closed = None  # the far end of an exact zero the bracket closed on
     for j in range(n_max):
         if b - a <= 2.0 * eps:
             break
@@ -128,6 +133,17 @@ def bisect_predicate(
         x = x_t if abs(x_t - mid) <= r else mid - sigma * r
         y = margin(x)
         evals += 1
+        if y == 0.0 and (ya if pa else yb) != 0.0:
+            # an exact zero, and the margin is not flat at zero on its side
+            # of the bracket: x is the crossing if the margin is positive at
+            # the end 0.4 tol beyond it; otherwise that end is the new near end
+            far = min(x + 0.4 * tol, xs[i + 1]) if pa else max(x - 0.4 * tol, xs[i])
+            y_far = margin(far)
+            evals += 1
+            if y_far > 0.0:
+                a, b, closed = x, x, far
+                break
+            x, y = far, y_far
         if (y <= 0.0) == pa:
             a, ya = x, y
         else:
@@ -135,6 +151,8 @@ def bisect_predicate(
     m, d = 0.5 * (a + b), 0.4 * tol
     ends = (max(m - d, xs[i]), min(m + d, xs[i + 1]))
     for x, want, side in zip(ends, (pa, pb), ("lower", "upper")):
+        if x == closed:
+            continue  # evaluated, on its side, when the bracket closed
         evals += 1
         if (margin(x) <= 0.0) != want:
             raise MonotonicityError(

@@ -9,6 +9,12 @@ actually given (not for a nearby one).  Sturm chains and gcds are primitive
 pseudo-remainder sequences: integer pseudo-division, each remainder reduced
 to its primitive part.  Only positive scalings are used, so sign variation
 counts are unaffected.
+
+Each polynomial builds its square-free part and that part's Sturm chain
+once, and isolation, counting and the real-rootedness test all read them.
+Isolation carries the chain's variation count and the square-free part's
+sign at both ends of every interval, so a split evaluates the chain at its
+midpoint only: Sturm's theorem needs nothing but V(lo) - V(hi).
 """
 
 from __future__ import annotations
@@ -51,6 +57,13 @@ class RealPolynomial:
         """The square-free part as a primitive integer vector, computed once
         for isolation, refinement, counting and the real-rootedness test."""
         return _square_free(_to_int_poly(self.coeffs))
+
+    @cached_property
+    def _sturm_ints(self) -> List[IntPoly]:
+        """The Sturm chain of the square-free part, built once; empty when
+        that part is constant."""
+        ps = self._square_free_ints
+        return _sturm_chain(ps) if len(ps) > 1 else []
 
     @property
     def degree(self) -> int:
@@ -181,13 +194,17 @@ def _variations(signs: List[int]) -> int:
     return sum(1 for x, y in zip(seq, seq[1:]) if x * y < 0)
 
 
-def _variations_at(chain: List[IntPoly], m: int, e: int) -> int:
-    return _variations([_sign(p, m, e) for p in chain])
+def _at(chain: List[IntPoly], m: int, e: int, s: Optional[int] = None) -> Tuple[int, int]:
+    """(variations, sign of chain[0]) at m / 2^e; s is chain[0]'s sign there
+    when it is already known."""
+    if s is None:
+        s = _sign(chain[0], m, e)
+    return _variations([s] + [_sign(p, m, e) for p in chain[1:]]), s
 
 
 def _count_in(chain: List[IntPoly], m_lo: int, m_hi: int, e: int) -> int:
     """Distinct real roots in (m_lo / 2^e, m_hi / 2^e] by Sturm's theorem."""
-    return _variations_at(chain, m_lo, e) - _variations_at(chain, m_hi, e)
+    return _at(chain, m_lo, e)[0] - _at(chain, m_hi, e)[0]
 
 
 def _count_all(chain: List[IntPoly]) -> int:
@@ -227,35 +244,38 @@ def isolate_real_roots(
     lo, hi = _finite_ends(interval)
     if not lo < hi:
         raise ParameterError("interval must satisfy lo < hi")
-    ps = p._square_free_ints
-    if len(ps) <= 1:
+    chain = p._sturm_ints
+    if not chain:
         return []
-    chain = _sturm_chain(ps)
+    ps = chain[0]
     m_lo, m_hi, e = _common(_nudge(ps, lo, -1.0), _nudge(ps, hi, +1.0))
-    # intervals (m_lo / 2^e, m_hi / 2^e] with their Sturm counts
-    stack = [(m_lo, m_hi, e, _count_in(chain, m_lo, m_hi, e))]
+    # intervals (m_lo / 2^e, m_hi / 2^e] with (variations, sign of ps) at
+    # both ends; a rescaled point keeps its value, so these stay valid
+    stack = [(m_lo, m_hi, e, _at(chain, m_lo, e), _at(chain, m_hi, e))]
     out: List[RootBracket] = []
     while stack:
-        m_lo, m_hi, e, cnt = stack.pop()
+        m_lo, m_hi, e, at_lo, at_hi = stack.pop()
+        cnt = at_lo[0] - at_hi[0]
         if cnt == 0:
             continue
         if cnt == 1:
             scale = 1 << e
-            out.append(RootBracket(m_lo / scale, m_hi / scale,
-                                   _sign(ps, m_lo, e), _sign(ps, m_hi, e)))
+            out.append(RootBracket(m_lo / scale, m_hi / scale, at_lo[1], at_hi[1]))
             continue
         m_mid = m_lo + m_hi
-        if _sign(ps, m_mid, e + 1) == 0:
+        s_mid = _sign(ps, m_mid, e + 1)
+        if s_mid == 0:
             # midpoint hit a root exactly; step off it by (hi - lo) / 2^40
-            m_mid <<= 39
-            while _sign(ps, m_mid, e + 40) == 0:
-                m_mid += m_hi - m_lo
-            m_lo, m_hi, e = m_lo << 40, m_hi << 40, e + 40
+            step = m_hi - m_lo
+            m_mid, m_lo, m_hi, e = m_mid << 39, m_lo << 40, m_hi << 40, e + 40
+            while s_mid == 0:
+                m_mid += step
+                s_mid = _sign(ps, m_mid, e)
         else:
             m_lo, m_hi, e = m_lo << 1, m_hi << 1, e + 1
-        c_lo = _count_in(chain, m_lo, m_mid, e)
-        stack.append((m_lo, m_mid, e, c_lo))
-        stack.append((m_mid, m_hi, e, cnt - c_lo))
+        at_mid = _at(chain, m_mid, e, s_mid)
+        stack.append((m_lo, m_mid, e, at_lo, at_mid))
+        stack.append((m_mid, m_hi, e, at_mid, at_hi))
     out.sort(key=lambda br: br.lo)
     return out
 
@@ -293,20 +313,18 @@ def is_real_rooted(p: RealPolynomial) -> bool:
     """True iff every root of p is real.  p and its square-free part ps have
     the same distinct roots, so this holds iff ps has deg ps distinct real
     roots."""
-    ps = p._square_free_ints
-    return len(ps) <= 1 or _count_all(_sturm_chain(ps)) == len(ps) - 1
+    return _count_all(p._sturm_ints) == len(p._square_free_ints) - 1
 
 
 def count_real_roots(p: RealPolynomial, interval: Optional[Tuple[float, float]] = None) -> int:
     """Distinct real roots of p, over an interval or the whole line."""
-    ps = p._square_free_ints
-    if len(ps) <= 1:
-        return 0
-    chain = _sturm_chain(ps)
+    chain = p._sturm_ints
     if interval is None:
         return _count_all(chain)
     lo, hi = _finite_ends(interval)
-    return _count_in(chain, *_common(_nudge(ps, lo, -1.0), _nudge(ps, hi, +1.0)))
+    if not chain:
+        return 0
+    return _count_in(chain, *_common(_nudge(chain[0], lo, -1.0), _nudge(chain[0], hi, +1.0)))
 
 
 def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:

@@ -116,6 +116,33 @@ def test_bisect_predicate_simple_root():
     assert br.evaluations <= 21
 
 
+def test_bisect_predicate_closes_on_an_exact_zero():
+    for rising in (True, False):
+        calls = []
+
+        def margin(x):
+            calls.append(x)
+            return x - 0.5 if rising else 0.5 - x
+
+        br = bisect_predicate(margin, 0.0, 1.0, 0.01, "exact")
+        # 12 probes, the ITP point that hits 0.5, and the two ends; falling
+        # back to bisection after the hit took 21
+        assert len(calls) == br.evaluations <= 15
+        assert br.lo <= 0.5 <= br.hi and br.width <= 0.01
+    # flat at zero on [0.47, 0.53]: the ITP point at 0.5 is zero, the end
+    # 0.4 tol beyond it is still zero, and ITP goes on to the crossing 0.53
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        return min(x - 0.47, 0.0) + max(x - 0.53, 0.0)
+
+    br = bisect_predicate(flat, 0.0, 1.0, 0.01, "flat")
+    assert br.lo <= 0.53 <= br.hi and br.width <= 0.01
+    assert br.pred_lo and not br.pred_hi
+    assert len(calls) == br.evaluations
+
+
 def _monotone_margin(shape, c, scale, rising):
     """A margin through c of one of several shapes: "margin <= 0" holds on
     the side of c where u = +-(x - c) is negative (and at c itself, except

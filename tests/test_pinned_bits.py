@@ -1,11 +1,13 @@
 """Bit patterns of a few outputs, frozen as float.hex.
 
-A speed-up of the term recurrence or the minimizer must leave every value,
-bound and bracket the same float: these fail on any reordered operation.
+A speed-up of the term recurrence, the minimizer or root isolation must
+leave every value, bound and bracket the same float: these fail on any
+reordered operation.
 """
 
 from lplab.constants import q_infinity
 from lplab.criteria import sign_test_euler
+from lplab.polyroots import isolate_real_roots, refine, section_polynomial
 from lplab.series import FamilyKind, SeriesFamily, evaluate, section_sum
 
 
@@ -47,3 +49,30 @@ def test_outputs_keep_their_bits():
     # it meets the bracket of the 32-point probe and bisection (51 evaluations)
     old_lo, old_hi = "0x1.9de7cdef7bdf0p+1", "0x1.9de7ce739ce74p+1"
     assert br.lo <= float.fromhex(old_hi) and float.fromhex(old_lo) <= br.hi
+
+
+# the degree-12 eulerF section at a = 4 on (-1e7, 1e7): (lo, hi, sign_lo,
+# sign_hi) of every bracket, and its root refined to 1e-12 relative
+SECTION_ROOTS = [
+    (("0x0.0p+0", "0x1.312d000000000p+1", 1, -1), "0x1.0424a699c51c0p+1"),
+    (("0x1.312d000000000p+1", "0x1.312d000000000p+2", -1, 1), "0x1.3cde2f646c960p+1"),
+    (("0x1.312d000000000p+3", "0x1.312d000000000p+4", 1, -1), "0x1.9a6d44daf07a0p+3"),
+    (("0x1.312d000000000p+5", "0x1.312d000000000p+6", -1, 1), "0x1.9998c4d9288fbp+5"),
+    (("0x1.312d000000000p+7", "0x1.312d000000000p+8", 1, -1), "0x1.999999cec532ap+7"),
+    (("0x1.312d000000000p+9", "0x1.312d000000000p+10", -1, 1), "0x1.99999999951cep+9"),
+    (("0x1.312d000000000p+11", "0x1.312d000000000p+12", 1, -1), "0x1.9999999999e19p+11"),
+    (("0x1.312d000000000p+13", "0x1.312d000000000p+14", -1, 1), "0x1.99999985ff2b9p+13"),
+    (("0x1.312d000000000p+15", "0x1.312d000000000p+16", 1, -1), "0x1.9999e7f34f22bp+15"),
+    (("0x1.312d000000000p+17", "0x1.312d000000000p+18", -1, 1), "0x1.994bb64b414a1p+17"),
+    (("0x1.312d000000000p+19", "0x1.312d000000000p+20", 1, -1), "0x1.b04ef17269175p+19"),
+    (("0x1.312d000000000p+20", "0x1.312d000000000p+21", -1, 1), "0x1.0b68978de7372p+21"),
+]
+
+
+def test_section_roots_keep_their_bits():
+    p = section_polynomial(SeriesFamily(FamilyKind.EULER_F, 4.0), 12)
+    got = []
+    for br in isolate_real_roots(p, (-1e7, 1e7)):
+        x = refine(p, br, 1e-12 * max(1.0, abs(br.lo), abs(br.hi)))
+        got.append(((br.lo.hex(), br.hi.hex(), br.sign_lo, br.sign_hi), x.hex()))
+    assert got == SECTION_ROOTS

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def test_square_free_form_is_computed_once_per_polynomial(monkeypatch):
         refine(p, br, 1e-12 * max(1.0, abs(br.lo), abs(br.hi)))
     assert count_real_roots(p) == len(brackets) == 12
     assert is_real_rooted(p)
+    assert len(calls) == 1
+
+
+def test_sturm_chain_is_built_once_per_polynomial(monkeypatch):
+    calls = []
+    sturm_chain = polyroots._sturm_chain
+    monkeypatch.setattr(polyroots, "_sturm_chain", lambda q: calls.append(1) or sturm_chain(q))
+    p = section_polynomial(SeriesFamily(FamilyKind.EULER_F, 4.0), 12)
+    assert is_real_rooted(p)
+    assert count_real_roots(p, (-1e7, 1e7)) == 12
+    brackets = isolate_real_roots(p, (-1e7, 1e7))
+    for br in brackets:
+        refine(p, br, 1e-12 * max(1.0, abs(br.lo), abs(br.hi)))
+    assert count_real_roots(p) == len(brackets) == 12
     assert len(calls) == 1
 
 
@@ -223,6 +238,17 @@ def _times(p, q):
     return out
 
 
+def _expand(lead, roots, quads):
+    """Ascending Fraction coefficients of lead * prod (x - r)^m * prod quads."""
+    coeffs = [lead]
+    for r, m in roots.items():
+        for _ in range(m):
+            coeffs = _times(coeffs, [-r, Fraction(1)])
+    for b, c in quads:
+        coeffs = _times(coeffs, [c, b, Fraction(1)])
+    return coeffs
+
+
 @st.composite
 def _planted(draw):
     """(lead, real roots with multiplicity, positive quadratics, interval):
@@ -274,12 +300,7 @@ def test_exact_layer_matches_planted_factors(case, tol):
     # roots and interval ends on a quarter grid: ends can sit on roots
     # (nudge) and bisection midpoints can hit roots exactly (step-off)
     lead, roots, quads, (lo, hi) = case
-    coeffs = [lead]
-    for r, m in roots.items():
-        for _ in range(m):
-            coeffs = _times(coeffs, [-r, Fraction(1)])
-    for b, c in quads:
-        coeffs = _times(coeffs, [c, b, Fraction(1)])
+    coeffs = _expand(lead, roots, quads)
     p = RealPolynomial(tuple(float(c) for c in coeffs))
     assert [Fraction(c) for c in p.coeffs] == coeffs  # exactness
     assert is_real_rooted(p) == (not quads)
@@ -295,3 +316,74 @@ def test_exact_layer_matches_planted_factors(case, tol):
         x = refine(p, br, tol)
         assert x == _oracle_refine(lead, roots, br.lo, br.hi, tol)
         assert abs(x - r) <= max(tol, 2 * math.ulp(br.lo), 2 * math.ulp(br.hi))
+
+
+_SIGN = polyroots._sign
+
+
+def _two_evaluation_isolate(p, lo, hi, tally):
+    """isolate_real_roots as it was before it carried variation counts:
+    each split counts the lower half by evaluating the chain at both of its
+    ends, and a count-1 interval evaluates the signs of its ends again.
+    ``tally`` counts the nudge evaluations at the interval ends, the splits
+    and the steps off a midpoint that is a root."""
+    ps, chain = p._square_free_ints, p._sturm_ints
+    if len(ps) <= 1:
+        return []
+
+    def nudge(x, direction):
+        while True:
+            tally["nudge"] += 1
+            if _SIGN(ps, *polyroots._dyadic(x)) != 0:
+                return polyroots._dyadic(x)
+            x = x + direction * 16.0 * max(abs(x), 1.0) * polyroots._EPS
+
+    def count(m_lo, m_hi, e):
+        at = [polyroots._variations([_SIGN(q, m, e) for q in chain]) for m in (m_lo, m_hi)]
+        return at[0] - at[1]
+
+    m_lo, m_hi, e = polyroots._common(nudge(lo, -1.0), nudge(hi, +1.0))
+    stack = [(m_lo, m_hi, e, count(m_lo, m_hi, e))]
+    out = []
+    while stack:
+        m_lo, m_hi, e, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            scale = 1 << e
+            out.append((m_lo / scale, m_hi / scale, _SIGN(ps, m_lo, e), _SIGN(ps, m_hi, e)))
+            continue
+        tally["splits"] += 1
+        m_mid = m_lo + m_hi
+        if _SIGN(ps, m_mid, e + 1) == 0:
+            m_mid <<= 39
+            while _SIGN(ps, m_mid, e + 40) == 0:
+                tally["steps"] += 1
+                m_mid += m_hi - m_lo
+            m_lo, m_hi, e = m_lo << 40, m_hi << 40, e + 40
+        else:
+            m_lo, m_hi, e = m_lo << 1, m_hi << 1, e + 1
+        c_lo = count(m_lo, m_mid, e)
+        stack.append((m_lo, m_mid, e, c_lo))
+        stack.append((m_mid, m_hi, e, cnt - c_lo))
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted())
+# ends on roots (nudged), and a first midpoint on a double root (step-off)
+@example((Fraction(1), {Fraction(-1): 1, Fraction(-1, 2): 1, Fraction(0): 2, Fraction(1, 2): 1,
+                        Fraction(1): 1}, [], (Fraction(-1), Fraction(1))))
+def test_isolation_evaluates_the_chain_once_per_split(case):
+    lead, roots, quads, (lo, hi) = case
+    p = RealPolynomial(tuple(float(c) for c in _expand(lead, roots, quads)))
+    tally = {"nudge": 0, "splits": 0, "steps": 0}
+    want = _two_evaluation_isolate(p, float(lo), float(hi), tally)
+    calls = []
+    with mock.patch.object(polyroots, "_sign", lambda q, m, e: calls.append(m) or _SIGN(q, m, e)):
+        brs = isolate_real_roots(p, (float(lo), float(hi)))
+    assert [(br.lo, br.hi, br.sign_lo, br.sign_hi) for br in brs] == want
+    # the nudges, the chain at the two ends, then the chain once per split
+    # (its first sign is the root test) and one sign per step off a root
+    chain = p._sturm_ints
+    assert len(calls) == tally["nudge"] + (2 + tally["splits"]) * len(chain) + tally["steps"]
