@@ -26,7 +26,6 @@ from .constants import c_n, critical_a, q_infinity, threshold_table, transition_
 from .errors import FloatRangeError, LplabError
 from .series import FamilyKind, SeriesFamily, evaluate, quotients, section_sum
 from .verify import (
-    CheckResult,
     check_block_inequalities,
     check_circle_minimum,
     check_cubic_min_algebra,
@@ -40,6 +39,17 @@ _FAMILIES = {
     "eulerF": FamilyKind.EULER_F,
     "theta": FamilyKind.THETA,
     "eulerH": FamilyKind.EULER_H,
+}
+
+# verify --lemma: the suite and its default a-grid; the cubic-minimum
+# algebra draws its parameters from --seed instead
+_LEMMAS = {
+    "2": (check_circle_minimum, "3.6:4.6:8"),
+    "rouche": (check_tail_gap, "3.2:4.6:8"),
+    "3": (check_block_inequalities, "4:4:1"),
+    "6": (check_sign_alternation, "3.0:4.6:5"),
+    "positivity": (check_positivity_interval, "3.6:4.6:5"),
+    "4algebra": (check_cubic_min_algebra, None),
 }
 
 
@@ -60,10 +70,12 @@ def _parse_complex(text: str) -> complex:
 def _parse_grid(text: str) -> List[float]:
     try:
         lo, hi, steps = text.split(":")
+        if int(steps) < 1:
+            raise ValueError("STEPS must be >= 1")
         return [float(x) for x in np.linspace(_finite(lo), _finite(hi), int(steps))]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
-            f"expected LO:HI:STEPS, got {text!r}"
+            f"expected LO:HI:STEPS with STEPS >= 1, got {text!r}"
         ) from exc
 
 
@@ -199,21 +211,11 @@ def _run_constants(args) -> Tuple[Dict, Dict, CsvRows]:
 
 
 def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
-    grid = args.a_grid
-    if args.lemma == "2":
-        res = check_circle_minimum(grid or _parse_grid("3.6:4.6:8"))
-    elif args.lemma == "rouche":
-        res = check_tail_gap(grid or _parse_grid("3.2:4.6:8"))
-    elif args.lemma == "3":
-        res = CheckResult("block_inequalities", 0)
-        for a in grid or [4.0]:
-            res.absorb(check_block_inequalities(a, (4, 12)))
-    elif args.lemma == "6":
-        res = check_sign_alternation(grid or _parse_grid("3.0:4.6:5"), k_max=20)
-    elif args.lemma == "positivity":
-        res = check_positivity_interval(grid or _parse_grid("3.6:4.6:5"))
+    suite, default_grid = _LEMMAS[args.lemma]
+    if default_grid is None:
+        res = suite(seed=args.seed)
     else:
-        res = check_cubic_min_algebra(samples=64, seed=args.seed)
+        res = suite(args.a_grid or _parse_grid(default_grid))
     # no applicable grid point leaves the margin at its +inf start value
     worst = res.worst_margin if math.isfinite(res.worst_margin) else None
     result = {
@@ -310,14 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("verify", _run_verify, "run an inequality check suite")
-    p.add_argument(
-        "--lemma",
-        choices=("2", "rouche", "3", "6", "positivity", "4algebra"),
-        required=True,
-        help="which suite: 2=circle minimum, rouche=tail gap, 3=block "
-        "inequalities, 6=sign alternation, positivity=interval positivity, "
-        "4algebra=cubic-minimum algebra",
-    )
+    suites = ", ".join(f"{k}={s.__name__.removeprefix('check_')}" for k, (s, _) in _LEMMAS.items())
+    p.add_argument("--lemma", choices=tuple(_LEMMAS), required=True, help=f"which suite: {suites}")
     p.add_argument("--a-grid", type=_parse_grid, default=None, dest="a_grid",
                    metavar="LO:HI:STEPS")
     p.add_argument("--seed", type=int, default=0)

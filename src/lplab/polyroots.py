@@ -202,11 +202,6 @@ def _at(chain: List[IntPoly], m: int, e: int, s: Optional[int] = None) -> Tuple[
     return _variations([s] + [_sign(p, m, e) for p in chain[1:]]), s
 
 
-def _count_in(chain: List[IntPoly], m_lo: int, m_hi: int, e: int) -> int:
-    """Distinct real roots in (m_lo / 2^e, m_hi / 2^e] by Sturm's theorem."""
-    return _at(chain, m_lo, e)[0] - _at(chain, m_hi, e)[0]
-
-
 def _count_all(chain: List[IntPoly]) -> int:
     """Distinct real roots over (-inf, inf), from the leading coefficients."""
     lead = [(p[-1] > 0) - (p[-1] < 0) for p in chain]
@@ -214,18 +209,30 @@ def _count_all(chain: List[IntPoly]) -> int:
     return at_minus - _variations(lead)
 
 
-def _finite_ends(interval: Tuple[float, float]) -> Tuple[float, float]:
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (isfinite(lo) and isfinite(hi)):
-        raise ParameterError(f"interval ends must be finite, got {interval!r}")
-    return lo, hi
-
-
 def _nudge(p: IntPoly, x: float, direction: float) -> Tuple[int, int]:
     """Move x outward by 16 ulps until it is not a root of p; (m, e) form."""
     while _sign(p, *_dyadic(x)) == 0:
         x = x + direction * 16.0 * max(abs(x), 1.0) * _EPS
     return _dyadic(x)
+
+
+def _interval_ends(
+    p: RealPolynomial, interval: Tuple[float, float]
+) -> Tuple[int, int, int, Tuple[int, int], Tuple[int, int]]:
+    """(m_lo, m_hi, e, at_lo, at_hi): the ends, checked finite with lo < hi
+    and nudged outward off the roots of p, with the chain's _at at both
+    (both (0, 0) for a constant p).  Isolation's first interval; Sturm's
+    theorem counts at_lo[0] - at_hi[0] distinct roots in it."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ParameterError(f"interval ends must be finite, got {interval!r}")
+    if not lo < hi:
+        raise ParameterError("interval must satisfy lo < hi")
+    chain = p._sturm_ints
+    if not chain:
+        return 0, 0, 0, (0, 0), (0, 0)
+    m_lo, m_hi, e = _common(_nudge(chain[0], lo, -1.0), _nudge(chain[0], hi, +1.0))
+    return m_lo, m_hi, e, _at(chain, m_lo, e), _at(chain, m_hi, e)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +248,10 @@ def isolate_real_roots(
     of p, so multiple roots are located once.  Interval endpoints landing
     exactly on roots are nudged outward by 16-ulp steps.
     """
-    lo, hi = _finite_ends(interval)
-    if not lo < hi:
-        raise ParameterError("interval must satisfy lo < hi")
+    # intervals (m_lo / 2^e, m_hi / 2^e] with (variations, sign of chain[0])
+    # at both ends; a rescaled point keeps its value, so these stay valid
+    stack = [_interval_ends(p, interval)]
     chain = p._sturm_ints
-    if not chain:
-        return []
-    ps = chain[0]
-    m_lo, m_hi, e = _common(_nudge(ps, lo, -1.0), _nudge(ps, hi, +1.0))
-    # intervals (m_lo / 2^e, m_hi / 2^e] with (variations, sign of ps) at
-    # both ends; a rescaled point keeps its value, so these stay valid
-    stack = [(m_lo, m_hi, e, _at(chain, m_lo, e), _at(chain, m_hi, e))]
     out: List[RootBracket] = []
     while stack:
         m_lo, m_hi, e, at_lo, at_hi = stack.pop()
@@ -263,14 +263,14 @@ def isolate_real_roots(
             out.append(RootBracket(m_lo / scale, m_hi / scale, at_lo[1], at_hi[1]))
             continue
         m_mid = m_lo + m_hi
-        s_mid = _sign(ps, m_mid, e + 1)
+        s_mid = _sign(chain[0], m_mid, e + 1)
         if s_mid == 0:
             # midpoint hit a root exactly; step off it by (hi - lo) / 2^40
             step = m_hi - m_lo
             m_mid, m_lo, m_hi, e = m_mid << 39, m_lo << 40, m_hi << 40, e + 40
             while s_mid == 0:
                 m_mid += step
-                s_mid = _sign(ps, m_mid, e)
+                s_mid = _sign(chain[0], m_mid, e)
         else:
             m_lo, m_hi, e = m_lo << 1, m_hi << 1, e + 1
         at_mid = _at(chain, m_mid, e, s_mid)
@@ -317,14 +317,13 @@ def is_real_rooted(p: RealPolynomial) -> bool:
 
 
 def count_real_roots(p: RealPolynomial, interval: Optional[Tuple[float, float]] = None) -> int:
-    """Distinct real roots of p, over an interval or the whole line."""
-    chain = p._sturm_ints
+    """Distinct real roots of p over the whole line, or in [lo, hi]: the
+    ends must be finite with lo < hi (``ParameterError`` otherwise, as for
+    ``isolate_real_roots``), and an end on a root is nudged outward."""
     if interval is None:
-        return _count_all(chain)
-    lo, hi = _finite_ends(interval)
-    if not chain:
-        return 0
-    return _count_in(chain, *_common(_nudge(chain[0], lo, -1.0), _nudge(chain[0], hi, +1.0)))
+        return _count_all(p._sturm_ints)
+    _, _, _, at_lo, at_hi = _interval_ends(p, interval)
+    return at_lo[0] - at_hi[0]
 
 
 def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:

@@ -366,30 +366,35 @@ def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:
 
     First kept term times the geometric series in rho = r * a_{s+1}/a_s,
     which dominates every later step ratio because the ratio sequences
-    decrease.  Requires rho < 1.
+    decrease.  Requires rho < 1 and a finite r >= 0; a bound beyond the
+    float range raises ``FloatRangeError``.
     """
     if start_index < 0:
         raise ParameterError("start_index must be >= 0")
-    if r < 0:
-        raise ParameterError("radius must be >= 0")
+    if not 0.0 <= r < math.inf:
+        raise ParameterError(f"radius must be finite and >= 0, got {r!r}")
     n_custom = family.n_terms
-    if n_custom is not None:
-        # finite series: sum the remaining magnitudes exactly
-        if start_index >= n_custom:
-            return 0.0
-        total = 0.0
-        for k in range(start_index, n_custom):
-            total += math.exp(family.custom_log_coeffs[k]) * r**k
-        return total
-    if r == 0.0:
-        return _first_coefficient(family) if start_index == 0 else 0.0
-    log_first = coefficient_log(family, start_index) + start_index * math.log(r)
-    rho = r * family.ratio(start_index + 1)
-    if rho >= 1.0:
-        raise DivergentMajorantError(
-            f"majorant ratio {rho:.6g} >= 1 at start={start_index}, r={r!r}"
-        )
-    return math.exp(log_first) / (1.0 - rho)
+    try:
+        if n_custom is not None:
+            # finite series: sum the remaining magnitudes exactly
+            bound = 0.0
+            for k in range(start_index, n_custom):
+                bound += math.exp(family.custom_log_coeffs[k]) * r**k
+        elif r == 0.0:
+            bound = _first_coefficient(family) if start_index == 0 else 0.0
+        else:
+            log_first = coefficient_log(family, start_index) + start_index * math.log(r)
+            rho = r * family.ratio(start_index + 1)
+            if rho >= 1.0:
+                raise DivergentMajorantError(
+                    f"majorant ratio {rho:.6g} >= 1 at start={start_index}, r={r!r}"
+                )
+            bound = math.exp(log_first) / (1.0 - rho)
+    except OverflowError:
+        bound = math.inf
+    if not bound < math.inf:
+        raise FloatRangeError(f"tail bound at r={r!r} is beyond the float range")
+    return bound
 
 
 def _indexed(name: str, least: int, fn: Callable[[int], float]) -> Callable[[int], float]:

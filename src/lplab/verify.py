@@ -23,7 +23,7 @@ from .criteria import (
     cubic_profile,
     cubic_reduced_margin,
 )
-from .errors import ParameterError
+from .errors import FloatRangeError, ParameterError
 from .series import (
     FamilyKind,
     SeriesFamily,
@@ -51,19 +51,12 @@ class CheckResult:
 
     def record(self, margin: float, **params) -> None:
         self.worst_margin = min(self.worst_margin, margin)
-        if margin < 0.0:
+        if not margin >= 0.0:  # a nan margin certifies nothing: it fails
             self.failures.append({"margin": margin, **params})
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def absorb(self, other: "CheckResult") -> None:
-        """Fold another suite run into this one, as one run over both grids."""
-        self.grid_points += other.grid_points
-        self.failures += other.failures
-        self.inapplicable += other.inapplicable
-        self.worst_margin = min(self.worst_margin, other.worst_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +136,42 @@ def limiting_gap_margin(a: float) -> float:
     return lhs - rhs
 
 
-def check_block_inequalities(a: float, j_range: Tuple[int, int] = (4, 12)) -> CheckResult:
-    """Strict block domination for each j in range, the parabola positivity
-    on t in [-1, 1], finite geometric majorants, and the limiting form."""
+def check_block_inequalities(
+    a_grid: Sequence[float], j_range: Tuple[int, int] = (4, 12)
+) -> CheckResult:
+    """At each a > 3.56 of the grid: strict block domination for each j in
+    range, the parabola positivity on t in [-1, 1], finite geometric
+    majorants, and the limiting form.  A grid point whose inequalities
+    leave the float range raises ``FloatRangeError``."""
     j_lo, j_hi = j_range
     if not (4 <= j_lo <= j_hi <= 40):
         raise ParameterError("j_range must lie within [4, 40]")
-    if not a > 3.56:
+    if not all(a > 3.56 for a in a_grid):
         raise ParameterError("block inequalities assume a > 3.56")
-    res = CheckResult(f"block_inequalities_a={a:g}", j_hi - j_lo + 1)
-    q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
-    for j in range(j_lo, j_hi + 1):
-        lhs, rhs = central_block_gap(a, j)
-        res.record(lhs - rhs, a=a, j=j, kind="block_domination", lhs=lhs, rhs=rhs)
-        # parabola 4t^2 - 2 q_j sqrt(q_{j+1}) t + (q_j q_{j+1} - 2) on [-1, 1]:
-        # vertex beyond t = 1, so the minimum sits at t = 1
-        sq = math.sqrt(q(j + 1))
-        vertex = q(j) * sq / 4.0
-        res.record(vertex - 1.0, a=a, j=j, kind="parabola_vertex", value=vertex)
-        at_one = 2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1)
-        res.record(at_one, a=a, j=j, kind="parabola_min", value=at_one)
-        # geometric majorants must contract
-        res.record(
-            1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq), a=a, j=j, kind="low_ratio"
-        )
-        res.record(
-            1.0 - 1.0 / (sq * q(j + 2) * q(j + 3) * q(j + 4)), a=a, j=j, kind="high_ratio"
-        )
-    res.record(limiting_gap_margin(a), a=a, kind="limiting_form")
+    res = CheckResult("block_inequalities", len(a_grid) * (j_hi - j_lo + 1))
+    try:
+        for a in a_grid:
+            q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
+            for j in range(j_lo, j_hi + 1):
+                lhs, rhs = central_block_gap(a, j)
+                res.record(lhs - rhs, a=a, j=j, kind="block_domination", lhs=lhs, rhs=rhs)
+                # parabola 4t^2 - 2 q_j sqrt(q_{j+1}) t + (q_j q_{j+1} - 2) on
+                # [-1, 1]: vertex beyond t = 1, so the minimum sits at t = 1
+                sq = math.sqrt(q(j + 1))
+                vertex = q(j) * sq / 4.0
+                res.record(vertex - 1.0, a=a, j=j, kind="parabola_vertex", value=vertex)
+                at_one = 2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1)
+                res.record(at_one, a=a, j=j, kind="parabola_min", value=at_one)
+                # geometric majorants must contract
+                res.record(
+                    1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq), a=a, j=j, kind="low_ratio"
+                )
+                res.record(
+                    1.0 - 1.0 / (sq * q(j + 2) * q(j + 3) * q(j + 4)), a=a, j=j, kind="high_ratio"
+                )
+            res.record(limiting_gap_margin(a), a=a, kind="limiting_form")
+    except OverflowError:
+        raise FloatRangeError(f"block inequalities overflow at a={a!r}") from None
     return res
 
 

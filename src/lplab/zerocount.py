@@ -59,18 +59,16 @@ def _normalizing_scale(family: SeriesFamily) -> float:
     return 1.0 / r1
 
 
-def phi_eval_many(
-    family: SeriesFamily, us: np.ndarray, rel_tol: float = 1e-12
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized alternating series phi at an array of u-points."""
+def phi_eval_many(family: SeriesFamily, us: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalized alternating series phi at an array of u-points, with the
+    error bound of each value (``evaluate_many`` at rel_tol 1e-12)."""
     if family.kind is FamilyKind.CUSTOM and family.n_terms < 2:
         # single-coefficient family: already its own normalized form
-        vals, bnds = evaluate_many(family, np.asarray(us, dtype=complex), rel_tol)
-        return vals, bnds
+        return evaluate_many(family, np.asarray(us, dtype=complex), 1e-12)
     p1 = _normalizing_scale(family)
     a0 = math.exp(family.custom_log_coeffs[0]) if family.kind is FamilyKind.CUSTOM else 1.0
     alt = family.with_alternating(True)
-    vals, bnds = evaluate_many(alt, p1 * np.asarray(us, dtype=complex), rel_tol)
+    vals, bnds = evaluate_many(alt, p1 * np.asarray(us, dtype=complex), 1e-12)
     return vals / a0, bnds / a0
 
 
@@ -97,46 +95,35 @@ def count_zeros_in_disk(
 ) -> WindingResult:
     """Zero count of the normalized series inside |u| < r by winding number.
 
-    Trapezoidal accumulation of argument increments with adaptive doubling
-    of the sample count until every increment is below pi/2; that rule alone
-    certifies the count, and the reported ``residual`` does not.  A circle
-    passing too close to a zero is retried at r*(1 +- k*1e-6) a few times
-    before raising ``ZeroOnCircleError``; exhausting the sample cap returns
-    an uncertified result instead of raising.
+    Trapezoidal accumulation of argument increments on base_samples points
+    (within [4, 2^20]), doubling the count until every increment is below
+    pi/2; that rule alone certifies the count, and the reported
+    ``residual`` does not.  Once doubling would pass 2^20 samples the count
+    is returned uncertified.  A circle passing too close to a zero moves on
+    to r*(1 +- k*1e-6), k = 1, 2; when every radius is too close,
+    ``ZeroOnCircleError`` is raised.
     """
     if not r > 0:
         raise ParameterError("radius must be positive")
-    if base_samples < 4:
-        raise ParameterError("base_samples must be >= 4")
-    rel_tol = 1e-12
+    if not 4 <= base_samples <= _MAX_SAMPLES:
+        raise ParameterError(f"base_samples must lie in [4, {_MAX_SAMPLES}]")
     for bump in (0.0, 1e-6, -1e-6, 2e-6, -2e-6):
         rr = r * (1.0 + bump)
-        n = max(int(base_samples), 4)
-        too_close = False
-        last_clean: Optional[WindingResult] = None
-        while n <= _MAX_SAMPLES:
+        n = int(base_samples)
+        while True:
             theta = np.linspace(0.0, 2.0 * math.pi, n + 1)
-            us = rr * np.exp(1j * theta)
-            vals, bnds = phi_eval_many(family, us, rel_tol)
+            vals, bnds = phi_eval_many(family, rr * np.exp(1j * theta))
             min_mod = float(np.min(np.abs(vals)))
-            max_err = float(np.max(bnds))
-            if min_mod <= _MODULUS_SAFETY * max_err:
-                too_close = True
-                break
+            if min_mod <= _MODULUS_SAFETY * float(np.max(bnds)):
+                break  # too close to a zero: the next radius
             darg = np.diff(np.angle(vals))
             darg = (darg + math.pi) % (2.0 * math.pi) - math.pi
             raw = float(np.sum(darg)) / (2.0 * math.pi)
             count = int(round(raw))
-            residual = abs(raw - count)
-            increments_ok = float(np.max(np.abs(darg))) < 0.5 * math.pi
-            last_clean = WindingResult(rr, count, residual, min_mod, n, increments_ok)
-            if increments_ok:
-                return last_clean
+            certified = float(np.max(np.abs(darg))) < 0.5 * math.pi
+            if certified or 2 * n > _MAX_SAMPLES:
+                return WindingResult(rr, count, abs(raw - count), min_mod, n, certified)
             n *= 2
-        if too_close:
-            continue
-        # sample cap exhausted on a clean circle: report without certificate
-        return last_clean
     raise ZeroOnCircleError(
         f"circle |u| = {r!r} passes within 10x evaluation error of a zero "
         "after 5 radius perturbations"

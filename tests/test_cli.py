@@ -5,19 +5,27 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lplab import constants
-from lplab.cli import main
-from lplab.verify import check_block_inequalities
+from lplab.cli import _LEMMAS, main
+from lplab.verify import (
+    check_block_inequalities,
+    check_circle_minimum,
+    check_cubic_min_algebra,
+    check_positivity_interval,
+    check_sign_alternation,
+    check_tail_gap,
+)
 
 
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_eval_json_envelope(capsys):
@@ -167,12 +175,42 @@ def test_verify_suites(capsys):
 def test_verify_block_inequalities_over_an_a_grid(capsys):
     code, doc = run_json(capsys, ["verify", "--lemma", "3", "--a-grid", "3.6:4.6:3"])
     assert code == 0
-    parts = [check_block_inequalities(a, (4, 12)) for a in doc["inputs"]["a_grid"]]
+    parts = [check_block_inequalities([a], (4, 12)) for a in doc["inputs"]["a_grid"]]
     res = doc["result"]
     assert res["suite"] == "block_inequalities"
     assert res["passed"] and res["failures"] == [] and res["inapplicable"] == []
     assert res["grid_points"] == sum(p.grid_points for p in parts) == 27
     assert res["worst_margin"] == min(p.worst_margin for p in parts)
+
+
+def _grid(lo, hi, steps):
+    return [float(x) for x in np.linspace(lo, hi, steps)]
+
+
+# each --lemma choice as a direct call of its suite with the suite's own defaults
+_SUITES_WITH_DEFAULTS = {
+    "2": lambda: check_circle_minimum(_grid(3.6, 4.6, 8)),
+    "rouche": lambda: check_tail_gap(_grid(3.2, 4.6, 8)),
+    "3": lambda: check_block_inequalities([4.0]),
+    "6": lambda: check_sign_alternation(_grid(3.0, 4.6, 5)),
+    "positivity": lambda: check_positivity_interval(_grid(3.6, 4.6, 5)),
+    "4algebra": lambda: check_cubic_min_algebra(),
+}
+
+
+@pytest.mark.parametrize("lemma", list(_LEMMAS))
+def test_verify_report_is_the_suite_with_its_defaults(capsys, lemma):
+    code, doc = run_json(capsys, ["verify", "--lemma", lemma])
+    res = _SUITES_WITH_DEFAULTS[lemma]()
+    assert code == 0
+    assert doc["result"] == {
+        "suite": res.name,
+        "passed": res.passed,
+        "grid_points": res.grid_points,
+        "failures": res.failures,
+        "inapplicable": res.inapplicable,
+        "worst_margin": res.worst_margin,
+    }
 
 
 def test_scan_conjecture(capsys):
@@ -201,6 +239,8 @@ def test_usage_errors_exit_2(capsys):
         ["eval", "--family", "theta", "--a", "4", "--z", "1,-inf"],
         ["zeros", "--a", "4", "--radius", "abc"],
         ["zeros", "--a", "4", "--radius", "rho:x"],
+        ["verify", "--lemma", "2", "--a-grid", "3:4:0"],
+        ["verify", "--lemma", "2", "--a-grid", "3:4:-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -222,6 +262,19 @@ def test_computation_errors_exit_1_with_json(capsys):
     )
     assert code == 1
     assert doc["error_type"] == "ParameterError"
+    # base samples past the sample cap: an error report, not a traceback
+    code, doc = run_json(
+        capsys, ["zeros", "--a", "4", "--radius", "3.4", "--samples", "2000000"]
+    )
+    assert code == 1
+    assert doc["error_type"] == "ParameterError"
+    # a^2 + 1 is inf: the tail bound rejects that radius
+    code, doc = run_json(capsys, ["verify", "--lemma", "rouche", "--a-grid", "1e160:1e160:1"])
+    assert code == 1
+    assert doc["error_type"] == "ParameterError"
+    code, doc = run_json(capsys, ["verify", "--lemma", "3", "--a-grid", "1e200:1e200:1"])
+    assert code == 1
+    assert doc["error_type"] == "FloatRangeError"
     # no grid point satisfies the suite's hypothesis: no margin, not +inf
     code, doc = run_json(capsys, ["verify", "--lemma", "rouche", "--a-grid", "2:3:3"])
     assert code == 0

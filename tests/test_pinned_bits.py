@@ -1,14 +1,15 @@
 """Bit patterns of a few outputs, frozen as float.hex.
 
-A speed-up of the term recurrence, the minimizer or root isolation must
-leave every value, bound and bracket the same float: these fail on any
-reordered operation.
+A speed-up of the term recurrence, the minimizer, root isolation or the
+winding count must leave every value, bound and bracket the same float:
+these fail on any reordered operation.
 """
 
 from lplab.constants import q_infinity
 from lplab.criteria import sign_test_euler
 from lplab.polyroots import isolate_real_roots, refine, section_polynomial
 from lplab.series import FamilyKind, SeriesFamily, evaluate, section_sum
+from lplab.zerocount import count_zeros_in_disk, rho_radius
 
 
 def _hex(v):
@@ -76,3 +77,22 @@ def test_section_roots_keep_their_bits():
         x = refine(p, br, 1e-12 * max(1.0, abs(br.lo), abs(br.hi)))
         got.append(((br.lo.hex(), br.hi.hex(), br.sign_lo, br.sign_hi), x.hex()))
     assert got == SECTION_ROOTS
+
+
+def _winding(res):
+    return (res.radius.hex(), res.count, res.residual.hex(), res.min_modulus_seen.hex(),
+            res.samples_used, res.certified)
+
+
+def test_winding_counts_keep_their_bits():
+    fam = SeriesFamily(FamilyKind.EULER_F, 4.0)
+    assert _winding(count_zeros_in_disk(fam, rho_radius(fam, 6))) == (
+        "0x1.99a9997ccdec8p+10", 6, "0x0.0p+0", "0x1.6e2c70148101ap+32", 256, True
+    )
+    # a circle through the first zero: the count comes from a retry radius
+    p = section_polynomial(fam, 20)
+    zero_u = refine(p, isolate_real_roots(p, (1.0, 2.2))[0], 1e-13)
+    assert zero_u.hex() == "0x1.0424a699c5780p+1"
+    assert _winding(count_zeros_in_disk(fam, zero_u)) == (
+        "0x1.0424b7a63fdd2p+1", 1, "0x1.56e2c00000000p-35", "0x1.32934b8d241e3p-23", 256, True
+    )

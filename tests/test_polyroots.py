@@ -220,7 +220,20 @@ def test_non_finite_input_is_a_parameter_error():
 
 def test_degree_zero_has_no_roots():
     assert isolate_real_roots(RealPolynomial((3.0,)), (-1, 1)) == []
+    assert count_real_roots(RealPolynomial((3.0,)), (-1, 1)) == 0
     assert is_real_rooted(RealPolynomial((3.0,)))
+
+
+def test_reversed_and_empty_intervals_are_parameter_errors():
+    # isolation and the interval count check their interval in one place
+    for p in (RealPolynomial((2, -3, 1)), RealPolynomial((3.0,))):
+        for interval in ((3.0, 0.0), (1.0, 1.0)):
+            with pytest.raises(ParameterError):
+                isolate_real_roots(p, interval)
+            with pytest.raises(ParameterError):
+                count_real_roots(p, interval)
+    # roots at both ends count: the ends are nudged outward
+    assert count_real_roots(RealPolynomial((2, -3, 1)), (1.0, 2.0)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,21 @@ def test_tail_bound_divergent_majorant():
         tail_bound(eulerF(4.0), 1, 100.0)  # rho = 100/17 >= 1
 
 
+def test_tail_bound_keeps_to_the_error_contract():
+    for r in (math.inf, math.nan, -1.0):
+        with pytest.raises(ParameterError):
+            tail_bound(eulerF(4.0), 3, r)
+    # past the float range: math.exp of the first kept term, then r**k of
+    # a custom family's term
+    with pytest.raises(FloatRangeError):
+        tail_bound(eulerF(4.0), 100, 4.0**100)
+    custom = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, -1.0, -3.0))
+    with pytest.raises(FloatRangeError):
+        tail_bound(custom, 0, 1e200)
+    assert tail_bound(custom, 3, 1e200) == 0.0  # nothing left to sum
+    assert tail_bound(custom, 1, 2.0) == pytest.approx(2.0 / math.e + 4.0 / math.e**3)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------

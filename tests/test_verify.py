@@ -1,10 +1,13 @@
 """Inequality check suites: passing grids, inapplicable points, and
 expected-fail fixtures (guards against vacuously green checks)."""
 
+import math
+
 import pytest
 
-from lplab.errors import ParameterError
+from lplab.errors import FloatRangeError, ParameterError
 from lplab.verify import (
+    CheckResult,
     alternation_block_margin,
     alternation_closed_margin,
     central_block_gap,
@@ -47,21 +50,33 @@ def test_tail_gap_values():
 
 def test_block_inequalities_pass():
     for a in (3.57, 4.0, 4.6):
-        res = check_block_inequalities(a, (4, 12))
+        res = check_block_inequalities([a], (4, 12))
         assert res.passed, res.failures[:3]
         assert res.worst_margin >= 0.0
 
 
+def test_block_inequalities_beyond_float_range():
+    with pytest.raises(FloatRangeError):
+        check_block_inequalities([4.0, 1e200])
+
+
+def test_nan_margin_fails():
+    res = CheckResult("nan", 1)
+    res.record(math.nan, a=1.0)
+    assert not res.passed
+    assert math.isnan(res.failures[0]["margin"])
+
+
 def test_block_inequalities_wide_j():
-    res = check_block_inequalities(3.57, (4, 40))
+    res = check_block_inequalities([3.57], (4, 40))
     assert res.passed
 
 
 def test_block_inequalities_preconditions():
     with pytest.raises(ParameterError):
-        check_block_inequalities(2.0)
+        check_block_inequalities([2.0])
     with pytest.raises(ParameterError):
-        check_block_inequalities(4.0, (2, 12))
+        check_block_inequalities([4.0], (2, 12))
 
 
 def test_block_gap_two_sides():

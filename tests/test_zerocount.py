@@ -7,6 +7,7 @@ import pytest
 
 from lplab.errors import FloatRangeError, ParameterError, RealRootsError
 from lplab.polyroots import section_polynomial
+from lplab import zerocount
 from lplab.series import FamilyKind, SeriesFamily
 from lplab.zerocount import (
     count_zeros_in_disk,
@@ -118,6 +119,26 @@ def test_winding_residual_certificate():
 def test_count_rejects_bad_radius():
     with pytest.raises(ParameterError):
         count_zeros_in_disk(eulerF(4.0), 0.0)
+
+
+def test_count_rejects_base_samples_outside_the_cap_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled the circle")
+
+    monkeypatch.setattr(zerocount, "phi_eval_many", no_sampling)
+    for base_samples in (3, 2**20 + 1):
+        with pytest.raises(ParameterError):
+            count_zeros_in_disk(eulerF(4.0), 3.4, base_samples)
+
+
+def test_count_at_the_sample_cap_is_uncertified(monkeypatch):
+    # six zeros inside: 4 and 8 samples cannot keep every increment below
+    # pi/2, and doubling past the cap returns the last count uncertified
+    monkeypatch.setattr(zerocount, "_MAX_SAMPLES", 8)
+    fam = eulerF(4.0)
+    res = count_zeros_in_disk(fam, rho_radius(fam, 6), 4)
+    assert (res.samples_used, res.certified) == (8, False)
+    assert res.radius == rho_radius(fam, 6)
 
 
 def test_count_retries_circle_through_zero():
