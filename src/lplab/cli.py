@@ -16,24 +16,18 @@ import json
 import math
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
-from .criteria import CriterionReport, classify_euler, sign_test_euler, sign_test_theta
-from .constants import c_n, critical_a, q_infinity, threshold_table, transition_scan
 from .errors import FloatRangeError, LplabError
 from .series import FamilyKind, SeriesFamily, evaluate, quotients, section_sum
-from .verify import (
-    check_block_inequalities,
-    check_circle_minimum,
-    check_cubic_min_algebra,
-    check_positivity_interval,
-    check_sign_alternation,
-    check_tail_gap,
-)
-from .zerocount import count_zeros_in_disk, rho_radius
+
+if TYPE_CHECKING:
+    from .criteria import CriterionReport
+
+# The series layer and its scalar commands (eval, section, quotients) run
+# without numpy; every other handler imports its layer, and with it numpy,
+# when it runs.
 
 _FAMILIES = {
     "eulerF": FamilyKind.EULER_F,
@@ -41,15 +35,15 @@ _FAMILIES = {
     "eulerH": FamilyKind.EULER_H,
 }
 
-# verify --lemma: the suite and its default a-grid; the cubic-minimum
-# algebra draws its parameters from --seed instead
+# verify --lemma: the suite, named in lplab.verify, and its default a-grid;
+# the cubic-minimum algebra draws its parameters from --seed instead
 _LEMMAS = {
-    "2": (check_circle_minimum, "3.6:4.6:8"),
-    "rouche": (check_tail_gap, "3.2:4.6:8"),
-    "3": (check_block_inequalities, "4:4:1"),
-    "6": (check_sign_alternation, "3.0:4.6:5"),
-    "positivity": (check_positivity_interval, "3.6:4.6:5"),
-    "4algebra": (check_cubic_min_algebra, None),
+    "2": ("check_circle_minimum", "3.6:4.6:8"),
+    "rouche": ("check_tail_gap", "3.2:4.6:8"),
+    "3": ("check_block_inequalities", "4:4:1"),
+    "6": ("check_sign_alternation", "3.0:4.6:5"),
+    "positivity": ("check_positivity_interval", "3.6:4.6:5"),
+    "4algebra": ("check_cubic_min_algebra", None),
 }
 
 
@@ -72,6 +66,8 @@ def _parse_grid(text: str) -> List[float]:
         lo, hi, steps = text.split(":")
         if int(steps) < 1:
             raise ValueError("STEPS must be >= 1")
+        import numpy as np
+
         return [float(x) for x in np.linspace(_finite(lo), _finite(hi), int(steps))]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
@@ -145,11 +141,15 @@ def _report_result(rep: CriterionReport) -> Dict:
 
 
 def _run_classify(args) -> Tuple[Dict, Dict, CsvRows]:
+    from .criteria import classify_euler
+
     rep = classify_euler(args.a, tol=args.tol)
     return _report_result(rep), {"tol": args.tol}, None
 
 
 def _run_sign_test(args) -> Tuple[Dict, Dict, CsvRows]:
+    from .criteria import sign_test_euler, sign_test_theta
+
     if args.family == "eulerF":
         if args.n is not None:
             raise LplabError("--n applies to the theta family only")
@@ -160,6 +160,8 @@ def _run_sign_test(args) -> Tuple[Dict, Dict, CsvRows]:
 
 
 def _run_zeros(args) -> Tuple[Dict, Dict, CsvRows]:
+    from .zerocount import count_zeros_in_disk, rho_radius
+
     fam = SeriesFamily(FamilyKind.EULER_F, args.a, alternating=True)
     if args.radius.startswith("rho:"):
         j = int(args.radius.split(":", 1)[1])
@@ -183,6 +185,8 @@ def _run_zeros(args) -> Tuple[Dict, Dict, CsvRows]:
 
 
 def _run_constants(args) -> Tuple[Dict, Dict, CsvRows]:
+    from .constants import c_n, critical_a, q_infinity, threshold_table
+
     if args.name == "q_infinity":
         br = q_infinity(args.tol)
     elif args.name == "c_n":
@@ -211,7 +215,10 @@ def _run_constants(args) -> Tuple[Dict, Dict, CsvRows]:
 
 
 def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
-    suite, default_grid = _LEMMAS[args.lemma]
+    from . import verify
+
+    suite_name, default_grid = _LEMMAS[args.lemma]
+    suite = getattr(verify, suite_name)
     if default_grid is None:
         res = suite(seed=args.seed)
     else:
@@ -232,6 +239,8 @@ def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
 
 
 def _run_scan(args) -> Tuple[Dict, Dict, CsvRows]:
+    from .constants import transition_scan
+
     res = transition_scan(args.a_lo, args.a_hi, args.steps)
     header = ["a", "min_value", "verdict"]
     rows = [[p.a, p.min_value, p.verdict] for p in res.points]
@@ -312,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("verify", _run_verify, "run an inequality check suite")
-    suites = ", ".join(f"{k}={s.__name__.removeprefix('check_')}" for k, (s, _) in _LEMMAS.items())
+    suites = ", ".join(f"{k}={s.removeprefix('check_')}" for k, (s, _) in _LEMMAS.items())
     p.add_argument("--lemma", choices=tuple(_LEMMAS), required=True, help=f"which suite: {suites}")
     p.add_argument("--a-grid", type=_parse_grid, default=None, dest="a_grid",
                    metavar="LO:HI:STEPS")
@@ -333,7 +342,8 @@ _NOT_INPUTS = ("command", "handler", "format", "out")
 def _json_default(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, np.generic):
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None and isinstance(value, np.generic):
         return value.item()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 

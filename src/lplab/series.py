@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .errors import (
     DivergentMajorantError,
@@ -37,7 +36,13 @@ from .errors import (
     TruncationError,
 )
 
-_EPS = float(np.finfo(float).eps)
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the batch helpers only: scalar sums, and the exact
+# layer that imports this module, run without it
+_EPS = sys.float_info.epsilon
+_PY_SCALARS = frozenset((float, complex, int))  # never a batch
 _TERM_CAP = 10_000
 _TABLE_START = 32  # first ratio table of a full series; most sums need fewer terms
 
@@ -218,6 +223,8 @@ def _array_max(v: np.ndarray) -> float:
 def _complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y over complex arrays, each part rounded as in Python's complex
     product (numpy's own may fuse it into multiply-adds)."""
+    import numpy as np
+
     out = np.empty_like(x)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -225,7 +232,9 @@ def _complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _where(z) -> str:
-    return "(vectorized batch)" if isinstance(z, np.ndarray) else f"at z={z!r}"
+    np = sys.modules.get("numpy")
+    batch = np is not None and isinstance(z, np.ndarray)
+    return "(vectorized batch)" if batch else f"at z={z!r}"
 
 
 def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12):
@@ -245,8 +254,11 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
             raise ParameterError("rel_tol must be positive")
     elif n < 0:
         raise ParameterError("section degree must be >= 0")
-    batch = isinstance(z, np.ndarray)
-    # a batch reduces over its points; a scalar loop makes no numpy call
+    # no ndarray exists before numpy is imported, so a scalar sum needs no
+    # numpy, and a Python scalar skips even the lookup; a batch reduces over
+    # its points, a scalar loop makes no numpy call
+    np = None if type(z) in _PY_SCALARS else sys.modules.get("numpy")
+    batch = np is not None and isinstance(z, np.ndarray)
     top, larger = (_array_max, np.maximum) if batch else (_itself, max)
     mul = _complex_product if batch and n is not None and np.iscomplexobj(z) else operator.mul
     last = _TERM_CAP if n is None else n
@@ -324,6 +336,8 @@ def evaluate_many(
     Same recurrence and stop rule as the scalar path, run until every point
     meets it; returns (values, per-point error bounds).
     """
+    import numpy as np
+
     return _term_sum(family, np.asarray(zs), None, rel_tol)[:2]
 
 
@@ -488,8 +502,8 @@ def scaled_real_value(family: SeriesFamily, x: float) -> Tuple[float, float, flo
     sum stops once log-terms have fallen 60 nats below the peak and a
     geometric majorant bounds the remainder.
     """
-    if x <= 0:
-        raise ParameterError("scaled_real_value needs x > 0")
+    if not 0 < x < math.inf:  # log(inf) would run the sum to its term cap
+        raise ParameterError(f"scaled_real_value needs a finite x > 0, got {x!r}")
     logx = math.log(x)
     log_terms = [math.log(_first_coefficient(family))]
     k = 0

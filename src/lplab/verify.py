@@ -49,9 +49,11 @@ class CheckResult:
     inapplicable: List[Dict] = field(default_factory=list)
     worst_margin: float = math.inf
 
-    def record(self, margin: float, **params) -> None:
+    def record(self, margin: float, strict: bool = False, **params) -> None:
+        """A margin below 0 fails, and so does 0 itself for a ``strict``
+        inequality; a nan margin certifies nothing: it fails."""
         self.worst_margin = min(self.worst_margin, margin)
-        if not margin >= 0.0:  # a nan margin certifies nothing: it fails
+        if not (margin > 0.0 if strict else margin >= 0.0):
             self.failures.append({"margin": margin, **params})
 
     @property
@@ -99,7 +101,7 @@ def check_tail_gap(a_grid: Sequence[float]) -> CheckResult:
             res.inapplicable.append({"a": a})
             continue
         bound = tail_bound(SeriesFamily(FamilyKind.EULER_F, a), 3, a * a + 1.0)
-        res.record(1.0 - bound, a=a, kind="tail_bound", value=bound)
+        res.record(1.0 - bound, strict=True, a=a, kind="tail_bound", value=bound)
     return res
 
 
@@ -154,7 +156,8 @@ def check_block_inequalities(
             q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
             for j in range(j_lo, j_hi + 1):
                 lhs, rhs = central_block_gap(a, j)
-                res.record(lhs - rhs, a=a, j=j, kind="block_domination", lhs=lhs, rhs=rhs)
+                res.record(lhs - rhs, strict=True, a=a, j=j, kind="block_domination", lhs=lhs,
+                           rhs=rhs)
                 # parabola 4t^2 - 2 q_j sqrt(q_{j+1}) t + (q_j q_{j+1} - 2) on
                 # [-1, 1]: vertex beyond t = 1, so the minimum sits at t = 1
                 sq = math.sqrt(q(j + 1))
@@ -162,13 +165,11 @@ def check_block_inequalities(
                 res.record(vertex - 1.0, a=a, j=j, kind="parabola_vertex", value=vertex)
                 at_one = 2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1)
                 res.record(at_one, a=a, j=j, kind="parabola_min", value=at_one)
-                # geometric majorants must contract
-                res.record(
-                    1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq), a=a, j=j, kind="low_ratio"
-                )
-                res.record(
-                    1.0 - 1.0 / (sq * q(j + 2) * q(j + 3) * q(j + 4)), a=a, j=j, kind="high_ratio"
-                )
+                # geometric majorants must contract: a ratio of 1 sums to infinity
+                res.record(1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq), strict=True,
+                           a=a, j=j, kind="low_ratio")
+                res.record(1.0 - 1.0 / (sq * q(j + 2) * q(j + 3) * q(j + 4)), strict=True,
+                           a=a, j=j, kind="high_ratio")
             res.record(limiting_gap_margin(a), a=a, kind="limiting_form")
     except OverflowError:
         raise FloatRangeError(f"block inequalities overflow at a={a!r}") from None
@@ -230,9 +231,15 @@ def check_sign_alternation(a_grid: Sequence[float], k_max: int = 20) -> CheckRes
             continue
         fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
         p1 = 1.0 / fam.ratio(1)  # u -> z scale of the normalized variable
-        for k in range(2, k_max + 1):
-            rho = rho_radius(fam, k)
-            mantissa, _, err = scaled_real_value(fam, p1 * rho)
+        # every block radius in the z variable, range-checked before any sum
+        radii = {k: p1 * rho_radius(fam, k) for k in range(2, k_max + 1)}
+        for k, x in radii.items():
+            if not x < math.inf:
+                raise FloatRangeError(
+                    f"block radius p_1 * rho_{k} is beyond the float range at a={a!r}"
+                )
+        for k, x in radii.items():
+            mantissa, _, err = scaled_real_value(fam, x)
             signed = (-1.0) ** k * mantissa
             res.record(signed + err, a=a, k=k, kind="series_sign", value=signed)
             if k >= 4:
@@ -249,12 +256,29 @@ def check_sign_alternation(a_grid: Sequence[float], k_max: int = 20) -> CheckRes
 # positivity on [0, a+1]
 # ---------------------------------------------------------------------------
 
+def _record_positivity(res: CheckResult, xs, vals, bnds, **params) -> None:
+    """Record min(value - bound) over the grid, the certified margin of
+    value > 0.  Where no point is certified negative (value + bound < 0)
+    but some value lies within its bound, the grid is undecided and is
+    listed as inapplicable instead, with the point of least margin."""
+    lower = vals - bnds
+    i = int(np.argmin(lower))
+    if not lower[i] >= 0.0 and float(np.min(vals + bnds)) >= 0.0:
+        res.inapplicable.append({
+            **params, "x": float(xs[i]),
+            "reason": f"value {vals[i]:.3g} lies within its evaluation bound {bnds[i]:.3g}",
+        })
+    else:
+        res.record(float(lower[i]), value=float(lower[i]), **params)
+
+
 def check_positivity_interval(
     a_grid: Sequence[float], n_list: Sequence[int] = (2, 3, 4, 5, 6, 7, 8)
 ) -> CheckResult:
     """The alternating series and each listed section stay positive on
     [0, a+1]; at the right endpoint the term chain 1 >= x/(a+1) >
-    x^2/((a+1)(a^2+1)) > ... is checked termwise."""
+    x^2/((a+1)(a^2+1)) > ... is checked termwise.  A value within its
+    evaluation bound decides nothing: its grid is listed as inapplicable."""
     res = CheckResult("positivity_interval", len(a_grid) * _GRID_DENSITY)
     for a in a_grid:
         if not a > 1.0:
@@ -263,11 +287,10 @@ def check_positivity_interval(
         fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
         xs = np.linspace(0.0, a + 1.0, _GRID_DENSITY)
         vals, bnds = evaluate_many(fam, xs, 1e-13)
-        margin = float(np.min(vals - bnds))
-        res.record(margin, a=a, kind="series_positivity", value=margin)
+        _record_positivity(res, xs, vals, bnds, a=a, kind="series_positivity")
         for n in n_list:
-            acc, _ = section_sum(fam, n, xs)
-            res.record(float(np.min(acc)), a=a, n=n, kind="section_positivity")
+            acc, roundoff = section_sum(fam, n, xs)
+            _record_positivity(res, xs, acc, roundoff, a=a, n=n, kind="section_positivity")
         # termwise chain at x = a + 1
         x = a + 1.0
         t_prev = x * fam.ratio(1)

@@ -275,6 +275,16 @@ def test_computation_errors_exit_1_with_json(capsys):
     code, doc = run_json(capsys, ["verify", "--lemma", "3", "--a-grid", "1e200:1e200:1"])
     assert code == 1
     assert doc["error_type"] == "FloatRangeError"
+    # the block radii leave the float range before any series is summed
+    code, doc = run_json(capsys, ["verify", "--lemma", "6", "--a-grid", "1e30:1e30:1"])
+    assert code == 1
+    assert doc["error_type"] == "FloatRangeError"
+    assert "rho_" in doc["error"]
+    # the tail bound rounds to 1: a zero margin is no strict inequality
+    code, doc = run_json(capsys, ["verify", "--lemma", "rouche", "--a-grid", "1e100:1e100:1"])
+    assert code == 0
+    assert doc["result"]["passed"] is False
+    assert doc["result"]["worst_margin"] == 0.0
     # no grid point satisfies the suite's hypothesis: no margin, not +inf
     code, doc = run_json(capsys, ["verify", "--lemma", "rouche", "--a-grid", "2:3:3"])
     assert code == 0

@@ -516,6 +516,13 @@ def test_scaled_real_value_matches_direct_in_overlap():
         assert err < 1e-9
 
 
+def test_scaled_real_value_rejects_non_finite_arguments():
+    fam = SeriesFamily(FamilyKind.EULER_F, 4.0, alternating=True)
+    for x in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError):
+            scaled_real_value(fam, x)
+
+
 def test_scaled_real_value_survives_overflow_scale():
     # log-scale far beyond float range must still produce a finite mantissa
     fam = theta(4.0, alternating=True)

@@ -3,8 +3,10 @@ expected-fail fixtures (guards against vacuously green checks)."""
 
 import math
 
+import numpy as np
 import pytest
 
+from lplab import verify
 from lplab.errors import FloatRangeError, ParameterError
 from lplab.verify import (
     CheckResult,
@@ -46,6 +48,22 @@ def test_tail_gap_values():
     res = check_tail_gap([3.0])
     assert len(res.inapplicable) == 1
     assert res.grid_points == 1
+
+
+def test_tail_gap_zero_margin_fails():
+    # at a = 1e100 the tail bound rounds to 1: "strictly below" is not shown
+    res = check_tail_gap([1e100])
+    assert res.worst_margin == 0.0
+    assert not res.passed
+    assert res.failures[0]["kind"] == "tail_bound"
+
+
+def test_strict_records_fail_at_zero_and_others_pass():
+    res = CheckResult("zero", 2)
+    res.record(0.0, a=1.0, kind="vertex")
+    assert res.passed
+    res.record(0.0, strict=True, a=1.0, kind="gap")
+    assert res.failures == [{"margin": 0.0, "a": 1.0, "kind": "gap"}]
 
 
 def test_block_inequalities_pass():
@@ -116,6 +134,19 @@ def test_sign_alternation_caps_k():
         check_sign_alternation([4.0], k_max=31)
 
 
+def test_sign_alternation_range_checks_every_radius_before_summing(monkeypatch):
+    sums = []
+    monkeypatch.setattr(verify, "scaled_real_value",
+                        lambda *args: sums.append(args) or (1.0, 0.0, 0.0))
+    # rho_10 is about 1e285, and p_1 * rho_10 about 1e315
+    with pytest.raises(FloatRangeError, match="rho_10 "):
+        check_sign_alternation([1e30], k_max=10)
+    # rho_11 itself leaves the float range
+    with pytest.raises(FloatRangeError, match="rho_11 "):
+        check_sign_alternation([1e30])
+    assert sums == []
+
+
 def test_positivity_interval_passes():
     res = check_positivity_interval([4.0], n_list=list(range(2, 9)))
     assert res.passed, res.failures[:3]
@@ -127,6 +158,32 @@ def test_positivity_endpoint_chain():
     assert res.passed
     chain = [f for f in res.failures if "chain" in str(f.get("kind"))]
     assert chain == []
+
+
+def test_positivity_within_the_bound_is_undecided():
+    # at a = 1e30 the series and its sections near x = a + 1 are about 1e-30,
+    # far inside their bounds of about 1e-15
+    res = check_positivity_interval([1e30])
+    assert res.passed, res.failures[:3]
+    undecided = [u for u in res.inapplicable if u["kind"] == "series_positivity"]
+    assert len(undecided) == 1
+    assert undecided[0]["a"] == 1e30
+    assert "within its evaluation bound" in undecided[0]["reason"]
+
+
+def test_positivity_certified_negative_point_fails():
+    res = CheckResult("positivity", 3)
+    xs = np.array([0.0, 1.0, 2.0])
+    verify._record_positivity(res, xs, np.array([1.0, 1e-16, -1.0]), np.full(3, 1e-15),
+                              a=5.0, kind="series_positivity")
+    assert not res.passed
+    assert res.failures[0]["margin"] == -1.0 - 1e-15
+    assert res.inapplicable == []
+    res = CheckResult("positivity", 3)
+    verify._record_positivity(res, xs, np.array([1.0, 1e-16, 0.5]), np.full(3, 1e-15),
+                              a=5.0, kind="series_positivity")
+    assert res.passed
+    assert res.inapplicable[0]["x"] == 1.0
 
 
 def test_cubic_min_algebra_passes():
