@@ -3,8 +3,10 @@ order-zero entire series with positive Taylor coefficients.
 
 The public names are served lazily (PEP 562): ``from lplab import
 isolate_real_roots`` imports ``lplab.polyroots`` and what it needs, and no
-other layer.  numpy is loaded by the layers that batch (``zerocount``,
-``criteria``, ``constants``), so the exact layer starts without it.
+other layer.  No layer here imports numpy with its module: it is loaded at
+the first batch of points (a sign test's grid, a winding count, a constant's
+probe scan), so the exact layer and verdicts decided by scalar criteria
+start without it.
 """
 
 import importlib

@@ -25,9 +25,10 @@ from .series import FamilyKind, SeriesFamily, evaluate, quotients, section_sum
 if TYPE_CHECKING:
     from .criteria import CriterionReport
 
-# The series layer and its scalar commands (eval, section, quotients) run
-# without numpy; every other handler imports its layer, and with it numpy,
-# when it runs.
+# Each handler imports its layer when it runs, and no layer but verify imports
+# numpy with its module: a batch of points loads it at its first use.  So
+# eval, section, quotients, constants --name thresholds and a classify that a
+# quotient criterion or the six-term certificate decides run without numpy.
 
 _FAMILIES = {
     "eulerF": FamilyKind.EULER_F,

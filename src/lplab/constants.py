@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from .criteria import (
     CUBIC_THRESHOLD_COEFFS,
     SIX_TERM_EXPANSION_COEFFS,
@@ -93,6 +91,8 @@ def bisect_predicate(
         raise ParameterError("tol must be positive")
     if tol < 16.0 * math.ulp(max(abs(lo), abs(hi))):
         raise ParameterError("tol below the float resolution of [lo, hi]")
+    import numpy as np
+
     xs = [float(x) for x in np.linspace(lo, hi, _PROBE_POINTS)]
     ys = [margin(x) for x in xs]
     scan = [(x, bool(y <= 0.0)) for x, y in zip(xs, ys)]
@@ -331,11 +331,16 @@ def transition_scan(a_lo: float, a_hi: float, steps: int, grid: int = 512) -> Sc
     """Tabulate the sign-test minimum across a parameter grid and report
     whether the verdict sequence makes a single NotInLP -> InLP transition.
     Purely observational: a non-monotone sequence is reported, not raised.
+    Needs 1 < a_lo < a_hi and steps >= 10.
     """
     if not a_lo > 1:
         raise ParameterError("a_lo must be > 1")
+    if not a_lo < a_hi:
+        raise ParameterError("need a_lo < a_hi")
     if steps < 10:
         raise ParameterError("steps must be >= 10")
+    import numpy as np
+
     points: List[ScanPoint] = []
     for a in np.linspace(a_lo, a_hi, steps):
         rep = sign_test_euler(float(a), grid)

@@ -20,14 +20,20 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
 from .polyroots import RealPolynomial, _dyadic, _sign, isolate_real_roots, refine
 from .series import _EPS, FamilyKind, SeriesFamily, _evaluators, quotients, section_sum
 from .series import evaluate  # noqa: F401  (perfbench's tracer tests patch this binding)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the minimizer's grid scan only: the quotient criteria
+# and the six-term certificate decide with scalar and exact arithmetic
+
+_MAX_GRID = 2**20
 
 
 class Verdict(str, Enum):
@@ -174,10 +180,13 @@ def minimize_on_interval(
     ``fn(x)`` returns (value, error_bound); ``batch(xs)`` returns the grid
     values in one vectorized call.  The grid is the ``grid`` interior points
     of ``grid + 1`` equal cells of (lo, hi); the best point's cell reaches
-    to its neighbours (to lo or hi at the ends).  Returns (min_value,
+    to its neighbours (to lo or hi at the ends).  ``grid`` lies in
+    [8, 2^20], checked before the grid is built.  Returns (min_value,
     argmin, error)."""
-    if grid < 8:
-        raise ParameterError("grid must be >= 8")
+    if not 8 <= grid <= _MAX_GRID:
+        raise ParameterError(f"grid must lie in [8, {_MAX_GRID}]")
+    import numpy as np
+
     xs = np.linspace(lo, hi, grid + 2)[1:-1]
     vals = batch(xs)
     i = int(np.argmin(vals))

@@ -15,13 +15,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .criteria import minimize_on_interval
 from .errors import FloatRangeError, ParameterError, RealRootsError, ZeroOnCircleError
 from .series import FamilyKind, SeriesFamily, _evaluators, evaluate_many, quotients
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the functions that sample a circle: rho_radius, the
+# degree-2 shortcut and s2_root_modulus are scalar
 
 _START_SAMPLES = 256
 _MAX_SAMPLES = 2**20
@@ -62,6 +66,8 @@ def _normalizing_scale(family: SeriesFamily) -> float:
 def phi_eval_many(family: SeriesFamily, us: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Normalized alternating series phi at an array of u-points, with the
     error bound of each value (``evaluate_many`` at rel_tol 1e-12)."""
+    import numpy as np
+
     if family.kind is FamilyKind.CUSTOM and family.n_terms < 2:
         # single-coefficient family: already its own normalized form
         return evaluate_many(family, np.asarray(us, dtype=complex), 1e-12)
@@ -107,6 +113,8 @@ def count_zeros_in_disk(
         raise ParameterError("radius must be positive")
     if not 4 <= base_samples <= _MAX_SAMPLES:
         raise ParameterError(f"base_samples must lie in [4, {_MAX_SAMPLES}]")
+    import numpy as np
+
     for bump in (0.0, 1e-6, -1e-6, 2e-6, -2e-6):
         rr = r * (1.0 + bump)
         n = int(base_samples)
@@ -142,7 +150,8 @@ def grid_min_modulus(
 
     The interval minimizer on theta in (-2 pi/grid, 2 pi) scans the
     periodic grid theta_i = 2 pi i/grid, i < grid, and the cells of its
-    first and last points reach across theta = 0 resp. 2 pi."""
+    first and last points reach across theta = 0 resp. 2 pi.  ``grid``
+    lies in [64, 2^20]; the minimizer refuses a larger one."""
     if not r > 0:
         raise ParameterError("radius must be positive")
     if grid < 64:
@@ -153,6 +162,8 @@ def grid_min_modulus(
         return abs(one(r * complex(math.cos(th), math.sin(th)))[0]), 0.0
 
     def f_many(thetas: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.abs(many(r * np.exp(1j * thetas)))
 
     return minimize_on_interval(f, f_many, -2.0 * math.pi / grid, 2.0 * math.pi, grid)[0]

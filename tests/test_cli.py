@@ -222,6 +222,16 @@ def test_scan_conjecture(capsys):
     assert len(doc["result"]["points"]) == 12
 
 
+@pytest.mark.parametrize("a_hi", ["3.9", "3.8"])
+def test_scan_conjecture_rejects_an_empty_or_reversed_range(capsys, a_hi):
+    code, doc = run_json(
+        capsys, ["scan-conjecture", "--a-lo", "3.9", "--a-hi", a_hi, "--steps", "10"]
+    )
+    assert code == 1
+    assert doc["error_type"] == "ParameterError"
+    assert "result" not in doc
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -265,6 +275,12 @@ def test_computation_errors_exit_1_with_json(capsys):
     # base samples past the sample cap: an error report, not a traceback
     code, doc = run_json(
         capsys, ["zeros", "--a", "4", "--radius", "3.4", "--samples", "2000000"]
+    )
+    assert code == 1
+    assert doc["error_type"] == "ParameterError"
+    # a sign-test grid past its cap: an error report before any allocation
+    code, doc = run_json(
+        capsys, ["sign-test", "--family", "eulerF", "--a", "3.9", "--grid", str(2**20 + 1)]
     )
     assert code == 1
     assert doc["error_type"] == "ParameterError"

@@ -299,3 +299,13 @@ def test_transition_scan_one_sided_regions():
     assert res.transition_interval is None
     res = transition_scan(3.6, 3.9, 12, grid=256)
     assert all(p.verdict == "NotInLP" for p in res.points)
+
+
+def test_transition_scan_rejects_reversed_and_empty_ranges(monkeypatch):
+    def no_sign_test(*args):
+        raise AssertionError("ran a sign test")
+
+    monkeypatch.setattr(constants, "sign_test_euler", no_sign_test)
+    for a_lo, a_hi in ((3.98, 3.9), (3.9, 3.9)):
+        with pytest.raises(ParameterError, match="a_lo < a_hi"):
+            transition_scan(a_lo, a_hi, 10)

@@ -30,6 +30,7 @@ from lplab.criteria import (
     cubic_reduced_margin,
     cubic_section_threshold,
     hutchinson_test,
+    minimize_on_interval,
     necessary_q2,
     sign_test_euler,
     sign_test_theta,
@@ -166,6 +167,20 @@ def test_sign_test_rejects_bad_parameters():
             sign_test_theta(1e160)
         with pytest.raises(FloatRangeError, match=r"a\^2 \+ 1"):
             sign_test_euler(1e160)
+
+
+def test_grid_outside_its_cap_is_rejected_before_any_allocation(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("built the grid")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for grid in (7, 2**20 + 1):
+        with pytest.raises(ParameterError, match=r"\[8, 1048576\]"):
+            minimize_on_interval(no_grid, no_grid, 1.0, 2.0, grid)
+    with pytest.raises(ParameterError):
+        sign_test_euler(3.9, grid=2**20 + 1)
+    with pytest.raises(ParameterError):
+        sign_test_theta(1.8, grid=2**20 + 1)
 
 
 def test_one_verdict_rule_for_every_band():

@@ -1,6 +1,7 @@
-"""What a fresh interpreter loads: the exact layer and the scalar CLI
-commands start without numpy, and the lazily served package API still
-binds every public name.  Each test runs its own Python process."""
+"""What a fresh interpreter loads: no layer but ``verify`` imports numpy
+with its module, so the scalar and exact entry points and the CLI commands
+they decide start without it, and the lazily served package API still binds
+every public name.  Each test runs its own Python process."""
 
 import os
 import subprocess
@@ -42,6 +43,10 @@ def imported_modules(proc: subprocess.CompletedProcess) -> list:
             if line.startswith("import time:")]
 
 
+def numpy_modules(imported: list) -> list:
+    return [m for m in imported if m == "numpy" or m.startswith("numpy.")]
+
+
 def test_public_api_is_frozen():
     assert len(PUBLIC_NAMES) == 35
     out = run_code("import lplab; print(' '.join(sorted(lplab.__all__)))")
@@ -65,6 +70,16 @@ def test_exact_layer_imports_without_numpy():
     assert out == "False"
 
 
+@pytest.mark.parametrize("names", [
+    "classify_euler, sign_test_euler, sign_test_theta",
+    "q_infinity, c_n, critical_a, transition_scan",
+    "count_zeros_in_disk, min_modulus_on_circle, rho_radius",
+])
+def test_batch_layers_import_without_numpy(names):
+    out = run_code(f"from lplab import {names}\nimport sys; print('numpy' in sys.modules)")
+    assert out == "False"
+
+
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["eval", "--family", "eulerF", "--a", "4", "--z=-3.5"],
@@ -74,13 +89,31 @@ def test_exact_layer_imports_without_numpy():
 def test_scalar_cli_commands_run_without_numpy(argv):
     imported = imported_modules(python("-X", "importtime", "-m", "lplab.cli", *argv))
     assert "lplab.series" in imported
-    assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")]
+    assert not numpy_modules(imported)
+
+
+@pytest.mark.parametrize("argv, layer, decided", [
+    (["classify", "--a", "5"], "lplab.criteria", '"criterion": "hutchinson"'),
+    (["classify", "--a", "3.0"], "lplab.criteria", '"criterion": "q2_necessary"'),
+    (["constants", "--name", "thresholds"], "lplab.constants", '"six_term_exact_deg20"'),
+])
+def test_commands_decided_without_a_batch_run_without_numpy(argv, layer, decided):
+    proc = python("-X", "importtime", "-m", "lplab.cli", *argv)
+    assert decided in proc.stdout
+    imported = imported_modules(proc)
+    assert layer in imported
+    assert not numpy_modules(imported)
 
 
 def test_batch_command_still_loads_its_layer():
-    proc = python("-X", "importtime", "-m", "lplab.cli", "classify", "--a", "5")
-    assert '"verdict": "InLP"' in proc.stdout
-    assert {"lplab.criteria", "numpy"} <= set(imported_modules(proc))
+    # a classify that reaches the sign test, and a winding count
+    for argv, layer, decided in (
+        (["classify", "--a", "3.8"], "lplab.criteria", '"criterion": "sign_test_euler"'),
+        (["zeros", "--a", "4", "--radius", "3.4"], "lplab.zerocount", '"count": 2'),
+    ):
+        proc = python("-X", "importtime", "-m", "lplab.cli", *argv)
+        assert decided in proc.stdout
+        assert {layer, "numpy"} <= set(imported_modules(proc))
 
 
 def test_submodules_resolve_after_a_bare_import():

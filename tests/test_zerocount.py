@@ -131,6 +131,15 @@ def test_count_rejects_base_samples_outside_the_cap_before_sampling(monkeypatch)
             count_zeros_in_disk(eulerF(4.0), 3.4, base_samples)
 
 
+def test_circle_minimum_inherits_the_grid_cap(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("built the grid")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(ParameterError):
+        grid_min_modulus(eulerF(4.0, alternating=True), None, 17.0, grid=2**20 + 1)
+
+
 def test_count_at_the_sample_cap_is_uncertified(monkeypatch):
     # six zeros inside: 4 and 8 samples cannot keep every increment below
     # pi/2, and doubling past the cap returns the last count uncertified
