@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .errors import FloatRangeError, LplabError
-from .series import FamilyKind, SeriesFamily, evaluate, quotients, section_sum
+from .series import _MAX_POINTS, FamilyKind, SeriesFamily, evaluate, quotients, section_sum
 
 if TYPE_CHECKING:
     from .criteria import CriterionReport
@@ -65,14 +65,14 @@ def _parse_complex(text: str) -> complex:
 def _parse_grid(text: str) -> List[float]:
     try:
         lo, hi, steps = text.split(":")
-        if int(steps) < 1:
-            raise ValueError("STEPS must be >= 1")
+        if not 1 <= int(steps) <= _MAX_POINTS:
+            raise ValueError(f"STEPS must lie in [1, {_MAX_POINTS}]")
         import numpy as np
 
         return [float(x) for x in np.linspace(_finite(lo), _finite(hi), int(steps))]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
-            f"expected LO:HI:STEPS with STEPS >= 1, got {text!r}"
+            f"expected LO:HI:STEPS with 1 <= STEPS <= {_MAX_POINTS}, got {text!r}"
         ) from exc
 
 

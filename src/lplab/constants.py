@@ -24,6 +24,7 @@ from .criteria import (
 )
 from .errors import BracketError, MonotonicityError, ParameterError
 from .polyroots import RealPolynomial, isolate_real_roots, refine
+from .series import _MAX_POINTS
 
 _PROBE_POINTS = 12
 # ITP's truncation constants (Oliveira & Takahashi, ACM TOMS 47, 2021):
@@ -331,14 +332,15 @@ def transition_scan(a_lo: float, a_hi: float, steps: int, grid: int = 512) -> Sc
     """Tabulate the sign-test minimum across a parameter grid and report
     whether the verdict sequence makes a single NotInLP -> InLP transition.
     Purely observational: a non-monotone sequence is reported, not raised.
-    Needs 1 < a_lo < a_hi and steps >= 10.
+    Needs 1 < a_lo < a_hi and steps in [10, 2^20], checked before the
+    grid is built.
     """
     if not a_lo > 1:
         raise ParameterError("a_lo must be > 1")
     if not a_lo < a_hi:
         raise ParameterError("need a_lo < a_hi")
-    if steps < 10:
-        raise ParameterError("steps must be >= 10")
+    if not 10 <= steps <= _MAX_POINTS:
+        raise ParameterError(f"steps must lie in [10, {_MAX_POINTS}]")
     import numpy as np
 
     points: List[ScanPoint] = []

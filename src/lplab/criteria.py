@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
 from .polyroots import RealPolynomial, _dyadic, _sign, isolate_real_roots, refine
-from .series import _EPS, FamilyKind, SeriesFamily, _evaluators, quotients, section_sum
+from .series import _EPS, _MAX_POINTS, FamilyKind, SeriesFamily, _evaluators, quotients, section_sum
 from .series import evaluate  # noqa: F401  (perfbench's tracer tests patch this binding)
 
 if TYPE_CHECKING:
@@ -32,8 +32,6 @@ if TYPE_CHECKING:
 
 # numpy is imported by the minimizer's grid scan only: the quotient criteria
 # and the six-term certificate decide with scalar and exact arithmetic
-
-_MAX_GRID = 2**20
 
 
 class Verdict(str, Enum):
@@ -183,8 +181,8 @@ def minimize_on_interval(
     to its neighbours (to lo or hi at the ends).  ``grid`` lies in
     [8, 2^20], checked before the grid is built.  Returns (min_value,
     argmin, error)."""
-    if not 8 <= grid <= _MAX_GRID:
-        raise ParameterError(f"grid must lie in [8, {_MAX_GRID}]")
+    if not 8 <= grid <= _MAX_POINTS:
+        raise ParameterError(f"grid must lie in [8, {_MAX_POINTS}]")
     import numpy as np
 
     xs = np.linspace(lo, hi, grid + 2)[1:-1]

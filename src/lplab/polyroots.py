@@ -5,16 +5,18 @@ to a primitive integer vector, and every point evaluated below (a float
 endpoint, a bisection midpoint, a step off an exact root) is a dyadic
 m / 2^e.  The sign of p(m / 2^e) is that of the integer 2^(e deg p) p(m / 2^e),
 one Horner pass, so every sign count is a certificate for the polynomial
-actually given (not for a nearby one).  Sturm chains and gcds are primitive
+actually given (not for a nearby one).  Sturm chains are primitive
 pseudo-remainder sequences: integer pseudo-division, each remainder reduced
 to its primitive part.  Only positive scalings are used, so sign variation
 counts are unaffected.
 
-Each polynomial builds its square-free part and that part's Sturm chain
-once, and isolation, counting and the real-rootedness test all read them.
-Isolation carries the chain's variation count and the square-free part's
-sign at both ends of every interval, so a split evaluates the chain at its
-midpoint only: Sturm's theorem needs nothing but V(lo) - V(hi).
+Each polynomial builds one remainder sequence, its Sturm chain, which ends
+in gcd(p, p').  Only a polynomial with a repeated factor builds a second
+one, the chain of its square-free part p / gcd(p, p').  The chain is cached,
+and isolation, refinement, counting and the real-rootedness test all read
+it.  Isolation carries the chain's variation count and the square-free
+part's sign at both ends of every interval, so a split evaluates the chain
+at its midpoint only: Sturm's theorem needs nothing but V(lo) - V(hi).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import gcd, isfinite, ulp
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ParameterError
-from .series import _EPS, FamilyKind, SeriesFamily
+from .series import _EPS, FamilyKind, SeriesFamily, _normalizing_scale
 
 IntPoly = List[int]  # ascending coefficients, primitive, nonzero leading term
 
@@ -53,17 +55,23 @@ class RealPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @cached_property
-    def _square_free_ints(self) -> IntPoly:
-        """The square-free part as a primitive integer vector, computed once
-        for isolation, refinement, counting and the real-rootedness test."""
-        return _square_free(_to_int_poly(self.coeffs))
-
-    @cached_property
     def _sturm_ints(self) -> List[IntPoly]:
-        """The Sturm chain of the square-free part, built once; empty when
-        that part is constant."""
-        ps = self._square_free_ints
-        return _sturm_chain(ps) if len(ps) > 1 else []
+        """The Sturm chain of the square-free part, built once; empty when p
+        is constant.  The chain of p ends in gcd(p, p'): when that is a
+        constant p is square-free and its chain is final, otherwise the
+        chain of p / gcd(p, p') is built."""
+        p = _to_int_poly(self.coeffs)
+        if len(p) == 1:
+            return []
+        chain = _sturm_chain(p)
+        return chain if len(chain[-1]) == 1 else _sturm_chain(_exact_quotient(p, chain[-1]))
+
+    @property
+    def _square_free_ints(self) -> IntPoly:
+        """The square-free part as a primitive integer vector: the first
+        element of the chain, or p itself when p is constant."""
+        chain = self._sturm_ints
+        return chain[0] if chain else _to_int_poly(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -169,24 +177,10 @@ def _sturm_chain(p: IntPoly) -> List[IntPoly]:
         chain.append(nxt)
 
 
-def _square_free(p: IntPoly) -> IntPoly:
-    """p divided by gcd(p, p'), primitive, sign of leading term preserved."""
-    return _exact_quotient(p, _gcd_poly(p, _deriv(p)))
-
-
 def _exact_quotient(p: IntPoly, g: IntPoly) -> IntPoly:
     """p / g for a divisor g of p, primitive, sign of leading term preserved."""
     q = _primitive(_pdiv(p, g)[0])
     return q if q[-1] * p[-1] > 0 else [-c for c in q]
-
-
-def _gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
-    a, b = a[:], b[:]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pdiv(a, b)[1])
-    return _primitive(a)
 
 
 def _variations(signs: List[int]) -> int:
@@ -332,18 +326,19 @@ def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:
     Coefficients are the alternating Eq.-style normalized ones,
     1, -1, 1/q_2, -1/(q_2^2 q_3), ...; all magnitudes are <= 1 so nothing
     overflows.  The recorded ``u_scale`` = a_0/a_1 maps roots back to the
-    z-plane of the alternating series via z = u_scale * u.
+    z-plane of the alternating series via z = u_scale * u.  An a_1/a_0 of
+    zero is a ``ParameterError``, one beyond the float range a
+    ``FloatRangeError``.
     """
     if n < 1:
         raise ParameterError("section degree must be >= 1")
     if family.kind is FamilyKind.CUSTOM and n >= len(family.custom_log_coeffs):
         raise ParameterError("custom family too short for requested section")
+    u_scale = _normalizing_scale(family)
     r1 = family.ratio(1)
-    if r1 <= 0:
-        raise ParameterError("family must have a nonzero second coefficient")
     coeffs = [1.0, -1.0]
     mag = 1.0
     for k in range(2, n + 1):
         mag *= family.ratio(k) / r1
         coeffs.append(mag if k % 2 == 0 else -mag)
-    return RealPolynomial(tuple(coeffs), u_scale=1.0 / r1)
+    return RealPolynomial(tuple(coeffs), u_scale=u_scale)

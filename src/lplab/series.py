@@ -44,6 +44,7 @@ if TYPE_CHECKING:
 _EPS = sys.float_info.epsilon
 _PY_SCALARS = frozenset((float, complex, int))  # never a batch
 _TERM_CAP = 10_000
+_MAX_POINTS = 2**20  # the most points a grid, circle or parameter scan may hold
 _TABLE_START = 32  # first ratio table of a full series; most sums need fewer terms
 
 
@@ -210,6 +211,16 @@ def _first_coefficient(family: SeriesFamily) -> float:
     if family.kind is FamilyKind.CUSTOM:
         return math.exp(family.custom_log_coeffs[0])
     return 1  # int: multiplying it never forces a scalar type change
+
+
+def _normalizing_scale(family: SeriesFamily) -> float:
+    """p_1 = a_0/a_1, the u -> z scale of the normalized variable."""
+    r1 = family.ratio(1)
+    if r1 <= 0.0:
+        raise ParameterError("family has no second coefficient to normalize by")
+    if not r1 < math.inf:
+        raise FloatRangeError("a_1/a_0 is beyond the float range")
+    return 1.0 / r1
 
 
 def _itself(v):

@@ -27,6 +27,7 @@ from .errors import FloatRangeError, ParameterError
 from .series import (
     FamilyKind,
     SeriesFamily,
+    _normalizing_scale,
     evaluate_many,
     quotients,
     scaled_real_value,
@@ -230,7 +231,7 @@ def check_sign_alternation(a_grid: Sequence[float], k_max: int = 20) -> CheckRes
             res.inapplicable.append({"a": a})
             continue
         fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
-        p1 = 1.0 / fam.ratio(1)  # u -> z scale of the normalized variable
+        p1 = _normalizing_scale(fam)
         # every block radius in the z variable, range-checked before any sum
         radii = {k: p1 * rho_radius(fam, k) for k in range(2, k_max + 1)}
         for k, x in radii.items():

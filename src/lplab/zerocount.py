@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from .criteria import minimize_on_interval
 from .errors import FloatRangeError, ParameterError, RealRootsError, ZeroOnCircleError
 from .series import FamilyKind, SeriesFamily, _evaluators, evaluate_many, quotients
+from .series import _MAX_POINTS, _first_coefficient, _normalizing_scale
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,7 +29,6 @@ if TYPE_CHECKING:
 # degree-2 shortcut and s2_root_modulus are scalar
 
 _START_SAMPLES = 256
-_MAX_SAMPLES = 2**20
 _MODULUS_SAFETY = 10.0
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -53,16 +53,6 @@ class WindingResult:
     certified: bool
 
 
-def _normalizing_scale(family: SeriesFamily) -> float:
-    """p_1 = a_0/a_1, the u -> z scale of the normalized variable."""
-    r1 = family.ratio(1)
-    if r1 <= 0.0:
-        raise ParameterError("family has no second coefficient to normalize by")
-    if not r1 < math.inf:
-        raise FloatRangeError("a_1/a_0 is beyond the float range")
-    return 1.0 / r1
-
-
 def phi_eval_many(family: SeriesFamily, us: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Normalized alternating series phi at an array of u-points, with the
     error bound of each value (``evaluate_many`` at rel_tol 1e-12)."""
@@ -72,7 +62,7 @@ def phi_eval_many(family: SeriesFamily, us: np.ndarray) -> Tuple[np.ndarray, np.
         # single-coefficient family: already its own normalized form
         return evaluate_many(family, np.asarray(us, dtype=complex), 1e-12)
     p1 = _normalizing_scale(family)
-    a0 = math.exp(family.custom_log_coeffs[0]) if family.kind is FamilyKind.CUSTOM else 1.0
+    a0 = _first_coefficient(family)
     alt = family.with_alternating(True)
     vals, bnds = evaluate_many(alt, p1 * np.asarray(us, dtype=complex), 1e-12)
     return vals / a0, bnds / a0
@@ -111,8 +101,8 @@ def count_zeros_in_disk(
     """
     if not r > 0:
         raise ParameterError("radius must be positive")
-    if not 4 <= base_samples <= _MAX_SAMPLES:
-        raise ParameterError(f"base_samples must lie in [4, {_MAX_SAMPLES}]")
+    if not 4 <= base_samples <= _MAX_POINTS:
+        raise ParameterError(f"base_samples must lie in [4, {_MAX_POINTS}]")
     import numpy as np
 
     for bump in (0.0, 1e-6, -1e-6, 2e-6, -2e-6):
@@ -129,7 +119,7 @@ def count_zeros_in_disk(
             raw = float(np.sum(darg)) / (2.0 * math.pi)
             count = int(round(raw))
             certified = float(np.max(np.abs(darg))) < 0.5 * math.pi
-            if certified or 2 * n > _MAX_SAMPLES:
+            if certified or 2 * n > _MAX_POINTS:
                 return WindingResult(rr, count, abs(raw - count), min_mod, n, certified)
             n *= 2
     raise ZeroOnCircleError(

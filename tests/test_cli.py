@@ -251,6 +251,7 @@ def test_usage_errors_exit_2(capsys):
         ["zeros", "--a", "4", "--radius", "rho:x"],
         ["verify", "--lemma", "2", "--a-grid", "3:4:0"],
         ["verify", "--lemma", "2", "--a-grid", "3:4:-1"],
+        ["verify", "--lemma", "2", "--a-grid", f"3:4:{2**20 + 1}"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -284,6 +285,12 @@ def test_computation_errors_exit_1_with_json(capsys):
     )
     assert code == 1
     assert doc["error_type"] == "ParameterError"
+    # so is a scan past its cap on the parameter steps
+    code, doc = run_json(
+        capsys, ["scan-conjecture", "--a-lo", "3.9", "--a-hi", "4.0", "--steps", str(2**20 + 1)]
+    )
+    assert code == 1
+    assert doc["error"] == "steps must lie in [10, 1048576]"
     # a^2 + 1 is inf: the tail bound rejects that radius
     code, doc = run_json(capsys, ["verify", "--lemma", "rouche", "--a-grid", "1e160:1e160:1"])
     assert code == 1

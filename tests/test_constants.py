@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -309,3 +310,13 @@ def test_transition_scan_rejects_reversed_and_empty_ranges(monkeypatch):
     for a_lo, a_hi in ((3.98, 3.9), (3.9, 3.9)):
         with pytest.raises(ParameterError, match="a_lo < a_hi"):
             transition_scan(a_lo, a_hi, 10)
+
+
+def test_transition_scan_caps_steps_before_any_allocation(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("built the grid")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for steps in (9, 2**20 + 1):
+        with pytest.raises(ParameterError, match=r"steps must lie in \[10, 1048576\]"):
+            transition_scan(3.9, 4.0, steps)

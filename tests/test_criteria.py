@@ -108,6 +108,21 @@ def test_necessary_q2_requires_nondecreasing_quotients():
         necessary_q2(SeriesFamily(FamilyKind.EULER_H, 3.0))
 
 
+def test_necessary_q2_on_custom_coefficients_agrees_with_the_named_family():
+    logs = tuple(coefficient_log(SeriesFamily(FamilyKind.EULER_F, 3.5), k) for k in range(8))
+    named = necessary_q2(eulerF(3.5))
+    custom = necessary_q2(SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=logs))
+    assert named.verdict is custom.verdict is Verdict.NOT_IN_LP
+    assert custom.margin == pytest.approx(named.margin, abs=1e-12)
+
+
+def test_necessary_q2_rejects_non_monotone_custom_quotients():
+    # q_2 = e^2, q_3 = e^-1, q_4 = e^2
+    fam = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, 0.0, -2.0, -3.0, -6.0))
+    with pytest.raises(PreconditionError, match="not nondecreasing"):
+        necessary_q2(fam)
+
+
 # ---------------------------------------------------------------------------
 # sign tests
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lplab import polyroots
-from lplab.errors import ParameterError
+from lplab.errors import FloatRangeError, ParameterError
 from lplab.polyroots import (
     RealPolynomial,
     count_real_roots,
@@ -49,17 +49,20 @@ def test_refine_stops_at_the_float_spacing(monkeypatch):
     assert _sign_at(p, x - 4 * u) * _sign_at(p, x + 4 * u) == -1
 
 
-def test_square_free_form_is_computed_once_per_polynomial(monkeypatch):
+def test_a_square_free_polynomial_builds_one_remainder_sequence(monkeypatch):
+    # the section is square-free: its chain ends in a constant gcd(p, p'),
+    # so every operation together costs one pseudo-division per chain step
     calls = []
-    square_free = polyroots._square_free
-    monkeypatch.setattr(polyroots, "_square_free", lambda q: calls.append(1) or square_free(q))
+    pdiv = polyroots._pdiv
+    monkeypatch.setattr(polyroots, "_pdiv", lambda a, b: calls.append(1) or pdiv(a, b))
     p = section_polynomial(SeriesFamily(FamilyKind.EULER_F, 4.0), 12)
+    assert is_real_rooted(p)
+    assert count_real_roots(p) == count_real_roots(p, (-1e7, 1e7)) == 12
     brackets = isolate_real_roots(p, (-1e7, 1e7))
     for br in brackets:
         refine(p, br, 1e-12 * max(1.0, abs(br.lo), abs(br.hi)))
-    assert count_real_roots(p) == len(brackets) == 12
-    assert is_real_rooted(p)
-    assert len(calls) == 1
+    assert len(brackets) == 12
+    assert len(calls) == len(p._sturm_ints) - 1
 
 
 def test_sturm_chain_is_built_once_per_polynomial(monkeypatch):
@@ -158,6 +161,17 @@ def test_section_polynomial_coefficients():
     assert p.u_scale == pytest.approx(6.0, rel=1e-14)
     ptheta = section_polynomial(SeriesFamily(FamilyKind.THETA, 2.0), 2)
     assert list(ptheta.coeffs) == pytest.approx([1.0, -1.0, 0.25], rel=1e-14)
+
+
+def test_section_polynomial_checks_the_normalizing_scale():
+    # a_1/a_0 = e^800 is beyond the float range: the scale would round to 0
+    far = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, 800.0, 900.0))
+    with pytest.raises(FloatRangeError):
+        section_polynomial(far, 2)
+    # a_1/a_0 = e^-800 rounds to zero: there is nothing to normalize by
+    flat = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, -800.0, -1700.0))
+    with pytest.raises(ParameterError):
+        section_polynomial(flat, 2)
 
 
 def test_section_scaling_soundness():
@@ -400,3 +414,47 @@ def test_isolation_evaluates_the_chain_once_per_split(case):
     # (its first sign is the root test) and one sign per step off a root
     chain = p._sturm_ints
     assert len(calls) == tally["nudge"] + (2 + tally["splits"]) * len(chain) + tally["steps"]
+
+
+def _reference_gcd(a, b):
+    a, b = a[:], b[:]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, polyroots._primitive(polyroots._pdiv(a, b)[1])
+    return polyroots._primitive(a)
+
+
+def _reference_sturm_chain(p):
+    chain = [p, polyroots._deriv(p)]
+    while True:
+        nxt = [-c for c in polyroots._primitive(polyroots._pdiv(chain[-2], chain[-1])[1])]
+        if not nxt:
+            return chain
+        chain.append(nxt)
+
+
+def _reference_square_free_and_chain(p):
+    """(square-free part, its Sturm chain) as built before the chain of p
+    supplied gcd(p, p'): a separate gcd sequence, the exact quotient of p by
+    that gcd, then a second remainder sequence on the quotient."""
+    ints = polyroots._to_int_poly(p.coeffs)
+    q = polyroots._primitive(polyroots._pdiv(ints, _reference_gcd(ints, polyroots._deriv(ints)))[0])
+    ps = q if q[-1] * ints[-1] > 0 else [-c for c in q]
+    return ps, (_reference_sturm_chain(ps) if len(ps) > 1 else [])
+
+
+_UNIT = (Fraction(-1), Fraction(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted())
+@example((Fraction(3), {}, [], _UNIT))  # constant
+@example((Fraction(-3, 8), {Fraction(1, 2): 1}, [], _UNIT))  # linear
+@example((Fraction(1), {Fraction(-1): 1, Fraction(0): 1, Fraction(1): 1},
+          [(Fraction(1, 2), Fraction(5, 16))], _UNIT))  # square-free
+@example((Fraction(1), {Fraction(1): 1}, [(Fraction(0), Fraction(1))] * 2, _UNIT))  # (x^2+1)^2
+def test_one_remainder_sequence_matches_the_separate_gcd_construction(case):
+    lead, roots, quads, _ = case
+    p = RealPolynomial(tuple(float(c) for c in _expand(lead, roots, quads)))
+    assert (p._square_free_ints, p._sturm_ints) == _reference_square_free_and_chain(p)

@@ -78,6 +78,15 @@ def test_coefficient_log_trivial_cases():
     assert coefficient_log(theta(2.0), 3) == pytest.approx(-9.0 * math.log(2.0), abs=1e-13)
 
 
+def test_custom_log_ratio_and_coefficient_past_the_end():
+    fam = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, -1.0, -3.0))
+    assert fam.log_ratio(2) == -2.0
+    assert fam.log_ratio(3) == fam.log_ratio(10) == -math.inf
+    assert coefficient_log(fam, 2) == -3.0
+    with pytest.raises(ParameterError):
+        coefficient_log(fam, 3)
+
+
 def test_coefficient_log_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         eulerF(1.0)
@@ -521,6 +530,16 @@ def test_scaled_real_value_rejects_non_finite_arguments():
     for x in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ParameterError):
             scaled_real_value(fam, x)
+
+
+def test_scaled_real_value_ends_with_a_finite_custom_family():
+    # terms 1, -2/e, 4/e^3: past the last one the tail is zero
+    fam = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, -1.0, -3.0), alternating=True)
+    m, ls, err = scaled_real_value(fam, 2.0)
+    with mpmath.workdps(40):
+        want = 1 - 2 * mpmath.exp(-1) + 4 * mpmath.exp(-3)
+        assert abs(m * mpmath.exp(ls) - want) <= err * mpmath.exp(ls)
+    assert ls == 0.0
 
 
 def test_scaled_real_value_survives_overflow_scale():

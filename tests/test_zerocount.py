@@ -143,7 +143,7 @@ def test_circle_minimum_inherits_the_grid_cap(monkeypatch):
 def test_count_at_the_sample_cap_is_uncertified(monkeypatch):
     # six zeros inside: 4 and 8 samples cannot keep every increment below
     # pi/2, and doubling past the cap returns the last count uncertified
-    monkeypatch.setattr(zerocount, "_MAX_SAMPLES", 8)
+    monkeypatch.setattr(zerocount, "_MAX_POINTS", 8)
     fam = eulerF(4.0)
     res = count_zeros_in_disk(fam, rho_radius(fam, 6), 4)
     assert (res.samples_used, res.certified) == (8, False)
