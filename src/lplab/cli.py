@@ -76,6 +76,13 @@ def _parse_grid(text: str) -> List[float]:
         ) from exc
 
 
+def _n_max(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= _MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"expected 1 <= N_MAX <= {_MAX_POINTS}, got {text!r}")
+    return value
+
+
 def _parse_radius(text: str) -> str:
     """A finite radius or rho:J, checked here and kept as text for the echo."""
     if text.startswith("rho:"):
@@ -289,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("quotients", _run_quotients, "tabulate p_n and q_n")
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--a", type=_finite, required=True)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p.add_argument("--n-max", type=_n_max, required=True, dest="n_max")
 
     p = command("classify", _run_classify, "membership decision cascade for eulerF")
     p.add_argument("--a", type=_finite, required=True)

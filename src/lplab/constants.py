@@ -314,7 +314,7 @@ def threshold_table(tol: float = 1e-10) -> List[ThresholdEntry]:
 # observational scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanPoint:
     a: float
     min_value: float

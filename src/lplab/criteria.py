@@ -41,7 +41,7 @@ class Verdict(str, Enum):
     INAPPLICABLE = "Inapplicable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriterionReport:
     """Outcome of one membership criterion.
 

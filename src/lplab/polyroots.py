@@ -27,7 +27,7 @@ from math import gcd, isfinite, ulp
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ParameterError
-from .series import _EPS, FamilyKind, SeriesFamily, _normalizing_scale
+from .series import _EPS, _TERM_CAP, FamilyKind, SeriesFamily, _normalizing_scale
 
 IntPoly = List[int]  # ascending coefficients, primitive, nonzero leading term
 
@@ -326,12 +326,14 @@ def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:
     Coefficients are the alternating Eq.-style normalized ones,
     1, -1, 1/q_2, -1/(q_2^2 q_3), ...; all magnitudes are <= 1 so nothing
     overflows.  The recorded ``u_scale`` = a_0/a_1 maps roots back to the
-    z-plane of the alternating series via z = u_scale * u.  An a_1/a_0 of
-    zero is a ``ParameterError``, one beyond the float range a
-    ``FloatRangeError``.
+    z-plane of the alternating series via z = u_scale * u.  A degree
+    outside [1, 10000] or an a_1/a_0 of zero is a ``ParameterError``, an
+    a_1/a_0 beyond the float range a ``FloatRangeError``.
     """
     if n < 1:
         raise ParameterError("section degree must be >= 1")
+    if n > _TERM_CAP:
+        raise ParameterError(f"section degree must be <= {_TERM_CAP}")
     if family.kind is FamilyKind.CUSTOM and n >= len(family.custom_log_coeffs):
         raise ParameterError("custom family too short for requested section")
     u_scale = _normalizing_scale(family)

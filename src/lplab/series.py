@@ -170,7 +170,7 @@ class SeriesFamily:
         return SeriesFamily(self.kind, self.a, self.custom_log_coeffs, alternating)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """A series value with a rigorous bound on the neglected tail."""
 
@@ -257,20 +257,22 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
     degree-n section (fewer terms if a custom family ends sooner), with the
     roundoff bound 4 eps (n+1) sum |t_k|; with ``n=None`` the full series,
     until ``evaluate``'s stop rule holds at every point.  A non-finite point
-    raises ``ParameterError`` before the first term; terms beyond the float
-    range raise ``FloatRangeError``.
+    or a section degree outside [0, 10000] raises ``ParameterError`` before
+    the first term; terms beyond the float range raise ``FloatRangeError``.
     """
     if n is None:
         if not rel_tol > 0:
             raise ParameterError("rel_tol must be positive")
     elif n < 0:
         raise ParameterError("section degree must be >= 0")
+    elif n > _TERM_CAP:  # the full series' own cap bounds a section's loop too
+        raise ParameterError(f"section degree must be <= {_TERM_CAP}")
     # no ndarray exists before numpy is imported, so a scalar sum needs no
     # numpy, and a Python scalar skips even the lookup; a batch reduces over
     # its points, a scalar loop makes no numpy call
     np = None if type(z) in _PY_SCALARS else sys.modules.get("numpy")
     batch = np is not None and isinstance(z, np.ndarray)
-    top, larger = (_array_max, np.maximum) if batch else (_itself, max)
+    top = _array_max if batch else _itself
     mul = _complex_product if batch and n is not None and np.iscomplexobj(z) else operator.mul
     last = _TERM_CAP if n is None else n
     if family.n_terms is not None:
@@ -286,11 +288,12 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
         total, abs_acc = term, abs(term)
         if n is None and wmax == 0:
             return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
-        r = rs[1]
+        r, inf = rs[1], math.inf
         for k in range(1, last + 1):
             term = mul(term, w * r)
             total = total + term
-            abs_acc = abs_acc + abs(term)
+            mag = abs(term)
+            abs_acc = abs_acc + mag
             try:
                 r = rs[k + 1]
             except IndexError:  # the table doubles, up to the last ratio needed
@@ -299,14 +302,21 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
             if n is None:
                 if wmax * r < 1.0:
                     rho = absw * r
-                    tail = abs(term) * rho / (1.0 - rho)
-                    excess = top(tail - rel_tol * larger(1.0, abs(total)))
+                    tail = mag * rho / (1.0 - rho)
+                    # tail - rel_tol * max(1, |total|), the worst point of a
+                    # batch; a scalar takes the same float without a call
+                    # (max keeps its first argument unless s > 1, nan included)
+                    if batch:
+                        excess = top(tail - rel_tol * np.maximum(1.0, abs(total)))
+                    else:
+                        s = abs(total)
+                        excess = tail - rel_tol * (s if s > 1.0 else 1.0)
                     if excess <= 0:
                         bound, terms = tail + 4.0 * _EPS * k * abs_acc, k + 1
                         break
-                    if not (excess < math.inf or top(abs_acc) < math.inf):
+                    if not (excess < inf or top(abs_acc) < inf):
                         raise FloatRangeError(f"the terms overflow {_where(z)}")
-                elif not top(abs_acc) < math.inf:  # still growing, already past the range
+                elif not top(abs_acc) < inf:  # still growing, already past the range
                     raise FloatRangeError(f"the terms overflow {_where(z)}")
         else:
             terms = last + 1
@@ -345,17 +355,25 @@ def evaluate_many(
     """Vectorized ``evaluate`` over an array of points.
 
     Same recurrence and stop rule as the scalar path, run until every point
-    meets it; returns (values, per-point error bounds).
+    meets it; returns (values, per-point error bounds).  A batch of one real
+    point gives ``evaluate``'s value and bound bit for bit.  Complex points
+    may differ in the last bits, since numpy's complex product may fuse into
+    multiply-adds.  numpy's overflow and invalid-value warnings are silenced:
+    terms beyond the float range raise ``FloatRangeError`` instead.
     """
     import numpy as np
 
-    return _term_sum(family, np.asarray(zs), None, rel_tol)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _term_sum(family, np.asarray(zs), None, rel_tol)[:2]
 
 
 def section_sum(family: SeriesFamily, n: int, z):
     """Sum of the first n+1 terms (fewer if a custom family ends sooner)
-    and its roundoff bound 4 eps (n+1) sum |t_k|.  Duck-typed like
-    ``evaluate``; a numpy array gets the same roundings as its points."""
+    and its roundoff bound 4 eps (n+1) sum |t_k|, for 0 <= n <= 10000.
+    Duck-typed like ``evaluate``.  A numpy array gets the values of its
+    points bit for bit, real or complex, and on real points their bounds
+    too; numpy's complex ``abs`` may move the last bit of a complex
+    point's bound."""
     return _term_sum(family, z, n)[:2]
 
 
@@ -382,7 +400,10 @@ def _evaluators(family: SeriesFamily, n: Optional[int]):
             return section_sum(family, n, z)
 
         def many(zs: np.ndarray) -> np.ndarray:
-            return section_sum(family, n, zs)[0]
+            import numpy as np
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                return section_sum(family, n, zs)[0]
     return one, many
 
 

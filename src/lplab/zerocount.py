@@ -33,7 +33,7 @@ _MODULUS_SAFETY = 10.0
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindingResult:
     """Integer zero count in a disk with its numerical certificate.
 
@@ -97,12 +97,18 @@ def count_zeros_in_disk(
     ``residual`` does not.  Once doubling would pass 2^20 samples the count
     is returned uncertified.  A circle passing too close to a zero moves on
     to r*(1 +- k*1e-6), k = 1, 2; when every radius is too close,
-    ``ZeroOnCircleError`` is raised.
+    ``ZeroOnCircleError`` is raised.  A z-plane radius p_1*r beyond the
+    float range raises ``FloatRangeError`` before any circle is sampled.
     """
     if not r > 0:
         raise ParameterError("radius must be positive")
     if not 4 <= base_samples <= _MAX_POINTS:
         raise ParameterError(f"base_samples must lie in [4, {_MAX_POINTS}]")
+    if family.n_terms != 1:  # one coefficient is its own normalized form
+        # the z-plane radius of the widest circle tried below
+        zr = _normalizing_scale(family) * (r * (1.0 + 2e-6))
+        if not zr < math.inf:
+            raise FloatRangeError(f"z-plane radius p_1*r of |u| = {r!r} is beyond the float range")
     import numpy as np
 
     for bump in (0.0, 1e-6, -1e-6, 2e-6, -2e-6):

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -252,6 +255,8 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--lemma", "2", "--a-grid", "3:4:0"],
         ["verify", "--lemma", "2", "--a-grid", "3:4:-1"],
         ["verify", "--lemma", "2", "--a-grid", f"3:4:{2**20 + 1}"],
+        ["quotients", "--family", "eulerF", "--a", "2", "--n-max", "0"],
+        ["quotients", "--family", "eulerF", "--a", "2", "--n-max", str(2**20 + 1)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -273,6 +278,12 @@ def test_computation_errors_exit_1_with_json(capsys):
     )
     assert code == 1
     assert doc["error_type"] == "ParameterError"
+    # a degree past the term cap is refused before the first term
+    code, doc = run_json(
+        capsys, ["section", "--family", "theta", "--a", "2", "--n", "10001", "--z", "1"]
+    )
+    assert code == 1
+    assert doc["error"] == "section degree must be <= 10000"
     # base samples past the sample cap: an error report, not a traceback
     code, doc = run_json(
         capsys, ["zeros", "--a", "4", "--radius", "3.4", "--samples", "2000000"]
@@ -313,6 +324,19 @@ def test_computation_errors_exit_1_with_json(capsys):
     assert code == 0
     assert doc["result"]["worst_margin"] is None
     assert len(doc["result"]["inapplicable"]) == 3
+
+
+@pytest.mark.parametrize("radius", ["1e308", "1e200", "rho:500"])
+def test_winding_counts_past_the_float_range_fail_quietly(radius):
+    # a fresh interpreter, so that numpy's warnings reach its stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lplab.cli", "zeros", "--a", "4", "--radius", radius],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error_type"] == "FloatRangeError"
+    assert proc.stderr == ""
 
 
 def _reject_constant(name):

@@ -163,6 +163,11 @@ def test_section_polynomial_coefficients():
     assert list(ptheta.coeffs) == pytest.approx([1.0, -1.0, 0.25], rel=1e-14)
 
 
+def test_section_polynomial_degree_is_capped_at_the_term_cap():
+    with pytest.raises(ParameterError, match="<= 10000"):
+        section_polynomial(SeriesFamily(FamilyKind.EULER_F, 4.0), 10_001)
+
+
 def test_section_polynomial_checks_the_normalizing_scale():
     # a_1/a_0 = e^800 is beyond the float range: the scale would round to 0
     far = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, 800.0, 900.0))

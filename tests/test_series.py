@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lplab.errors import (
     DivergentMajorantError,
@@ -16,6 +18,7 @@ from lplab.errors import (
     TruncationError,
 )
 from lplab.series import (
+    EvalResult,
     FamilyKind,
     _evaluators,
     SeriesFamily,
@@ -329,6 +332,62 @@ def test_evaluate_many_matches_scalar():
             assert b >= 0.0
 
 
+# a named family with its parameter range, alternating or not
+_NAMED = st.builds(
+    SeriesFamily,
+    st.sampled_from([FamilyKind.EULER_F, FamilyKind.THETA, FamilyKind.EULER_H]),
+    st.floats(1.5, 6.0),
+    alternating=st.booleans(),
+)
+_REL_TOL = st.floats(-14.0, -6.0).map(lambda e: 10.0**e)
+_REAL = st.floats(-40.0, 40.0)
+_COMPLEX = st.builds(complex, st.floats(-25.0, 25.0), st.floats(-25.0, 25.0))
+
+
+def _bits(v):
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else float(v).hex()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (FloatRangeError, TruncationError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NAMED, _REAL, _REL_TOL)
+def test_scalar_and_batch_stop_rules_agree_bit_for_bit(fam, x, rel_tol):
+    # a scalar stops on tail - rel_tol * (s if s > 1 else 1), a batch on
+    # the array maximum of tail - rel_tol * np.maximum(1, s): one point
+    # must stop at the same term with the same value and bound
+    one = _outcome(lambda: evaluate(fam, x, rel_tol))
+    many = _outcome(lambda: evaluate_many(fam, np.array([x]), rel_tol))
+    if isinstance(one, type):
+        assert many is one
+    else:
+        assert (_bits(many[0][0]), _bits(many[1][0])) == (
+            _bits(one.value), _bits(one.abs_error_bound)
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NAMED, st.integers(0, 40), st.one_of(st.lists(_REAL, min_size=1, max_size=6),
+                                             st.lists(_COMPLEX, min_size=1, max_size=6)))
+def test_batch_sections_give_the_pointwise_bits(fam, n, points):
+    # values agree on real and complex points; bounds on real points only,
+    # as numpy's complex abs may move the last bit of a complex one
+    batch = _outcome(lambda: section_sum(fam, n, np.array(points)))
+    pointwise = [_outcome(lambda: section_sum(fam, n, z)) for z in points]
+    if isinstance(batch, type):
+        assert batch in pointwise
+        return
+    vals, bnds = batch
+    assert [_bits(v) for v in vals.tolist()] == [_bits(v) for v, _ in pointwise]
+    if isinstance(points[0], float):
+        assert [_bits(b) for b in bnds.tolist()] == [_bits(b) for _, b in pointwise]
+
+
 def test_single_coefficient_family_bound_is_the_same_for_points_and_batches():
     fam = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.5,))
     res = evaluate(fam, 3.0)
@@ -391,6 +450,35 @@ def test_section_sum_roundoff_bound_and_degree():
     assert bound == pytest.approx(4.0 * np.finfo(float).eps * 3 * (1.0 + 3.4 + 3.4))
     with pytest.raises(ParameterError):
         section_sum(fam, -1, 1.0)
+
+
+def test_section_degree_is_capped_at_the_term_cap():
+    fam = theta(2.0)
+    assert section_sum(fam, 10_000, 1.0)[0] == section_sum(fam, 60, 1.0)[0]  # later terms are 0
+    for z in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(ParameterError, match="<= 10000"):
+            section_sum(fam, 10_001, z)
+    with pytest.raises(ParameterError):
+        evaluate_section(fam, 10_001, 1.0)
+
+
+def test_slotted_result_records_stay_frozen_and_replaceable():
+    from lplab.constants import ScanPoint
+    from lplab.criteria import CriterionReport, Verdict
+    from lplab.zerocount import WindingResult
+
+    records = [
+        EvalResult(1.0, 0.0, 1),
+        CriterionReport("sign_test", Verdict.IN_LP, -0.5),
+        WindingResult(2.0, 1, 0.0, 0.3, 256, True),
+        ScanPoint(3.9, 0.01, "NotInLP"),
+    ]
+    for rec in records:
+        assert not hasattr(rec, "__dict__")
+        field = dataclasses.fields(rec)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, field, None)
+        assert dataclasses.replace(rec) == rec
 
 
 def test_section_full_consistency_with_tail_bound():

@@ -52,6 +52,16 @@ def test_rho_radius_beyond_float_range_is_a_float_range_error():
         rho_radius(eulerF(1e60), 6)
 
 
+def test_z_plane_radius_beyond_float_range_is_checked_before_sampling(monkeypatch):
+    def no_circle(*args, **kwargs):
+        raise AssertionError("sampled the circle")
+
+    monkeypatch.setattr(np, "linspace", no_circle)
+    # p_1 = a + 1 = 5, so p_1 * r overflows although r is finite
+    with pytest.raises(FloatRangeError, match=r"p_1\*r"):
+        count_zeros_in_disk(eulerF(4.0), 1e308)
+
+
 def test_rho_radius_sandwich_and_monotone():
     fam = eulerF(3.7)
     prev = 0.0
