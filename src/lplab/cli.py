@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -30,11 +31,7 @@ if TYPE_CHECKING:
 # eval, section, quotients, constants --name thresholds and a classify that a
 # quotient criterion or the six-term certificate decides run without numpy.
 
-_FAMILIES = {
-    "eulerF": FamilyKind.EULER_F,
-    "theta": FamilyKind.THETA,
-    "eulerH": FamilyKind.EULER_H,
-}
+_FAMILIES = {kind.value: kind for kind in FamilyKind if kind is not FamilyKind.CUSTOM}
 
 # verify --lemma: the suite, named in lplab.verify, and its default a-grid;
 # the cubic-minimum algebra draws its parameters from --seed instead
@@ -48,8 +45,14 @@ _LEMMAS = {
 }
 
 
+# the argument types raise ArgumentTypeError with the expected form: on any
+# other error argparse would name the function in its message
+
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -77,7 +80,10 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _n_max(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if not 1 <= value <= _MAX_POINTS:
         raise argparse.ArgumentTypeError(f"expected 1 <= N_MAX <= {_MAX_POINTS}, got {text!r}")
     return value
@@ -85,57 +91,44 @@ def _n_max(text: str) -> int:
 
 def _parse_radius(text: str) -> str:
     """A finite radius or rho:J, checked here and kept as text for the echo."""
-    if text.startswith("rho:"):
-        int(text[4:])
-    else:
-        _finite(text)
+    try:
+        int(text[4:]) if text.startswith("rho:") else _finite(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"expected a finite radius or rho:J, got {text!r}")
     return text
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (result, error_bounds, csv_rows)
+# command handlers: return (result, error_bounds)
 # ---------------------------------------------------------------------------
-
-CsvRows = Optional[Tuple[List[str], List[List]]]
 
 
 def _family(args) -> SeriesFamily:
     return SeriesFamily(_FAMILIES[args.family], args.a)
 
 
-def _run_eval(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_eval(args) -> Tuple[Dict, Dict]:
     res = evaluate(_family(args), args.z, args.tol)
     return (
         {"value": res.value, "terms_used": res.terms_used},
         {"abs_error_bound": res.abs_error_bound, "rel_tol": args.tol},
-        None,
     )
 
 
-def _run_section(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_section(args) -> Tuple[Dict, Dict]:
     total, roundoff = section_sum(_family(args), args.n, args.z)
     return (
         {"value": total, "n": args.n},
         {"abs_error_bound": roundoff, "note": "exact truncation, roundoff only"},
-        None,
     )
 
 
-def _records(header: List[str], rows: List[List]) -> List[Dict]:
-    """A CSV table as the JSON list of its rows."""
-    return [dict(zip(header, row)) for row in rows]
-
-
-def _run_quotients(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_quotients(args) -> Tuple[Dict, Dict]:
     qv = quotients(_family(args))
-    header = ["n", "p", "q"]
-    rows = [[n, qv.p(n), qv.q(n) if n >= 2 else None] for n in range(1, args.n_max + 1)]
-    result = {
-        "limit": qv.limit,
-        "monotonicity": qv.monotonicity,
-        "table": _records(header, rows),
-    }
-    return result, {"type": "closed_form"}, (header, rows)
+    table = [{"n": n, "p": qv.p(n), "q": qv.q(n) if n >= 2 else None}
+             for n in range(1, args.n_max + 1)]
+    result = {"limit": qv.limit, "monotonicity": qv.monotonicity, "table": table}
+    return result, {"type": "closed_form"}
 
 
 def _report_result(rep: CriterionReport) -> Dict:
@@ -148,14 +141,14 @@ def _report_result(rep: CriterionReport) -> Dict:
     }
 
 
-def _run_classify(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_classify(args) -> Tuple[Dict, Dict]:
     from .criteria import classify_euler
 
     rep = classify_euler(args.a, tol=args.tol)
-    return _report_result(rep), {"tol": args.tol}, None
+    return _report_result(rep), {"tol": args.tol}
 
 
-def _run_sign_test(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_sign_test(args) -> Tuple[Dict, Dict]:
     from .criteria import sign_test_euler, sign_test_theta
 
     if args.family == "eulerF":
@@ -164,10 +157,10 @@ def _run_sign_test(args) -> Tuple[Dict, Dict, CsvRows]:
         rep = sign_test_euler(args.a, grid=args.grid)
     else:
         rep = sign_test_theta(args.a, n=args.n, grid=args.grid)
-    return _report_result(rep), {"grid": args.grid}, None
+    return _report_result(rep), {"grid": args.grid}
 
 
-def _run_zeros(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_zeros(args) -> Tuple[Dict, Dict]:
     from .zerocount import count_zeros_in_disk, rho_radius
 
     fam = SeriesFamily(FamilyKind.EULER_F, args.a, alternating=True)
@@ -188,11 +181,10 @@ def _run_zeros(args) -> Tuple[Dict, Dict, CsvRows]:
             "samples_used": res.samples_used,
         },
         {"residual_turns": res.residual, "min_modulus_seen": res.min_modulus_seen},
-        None,
     )
 
 
-def _run_constants(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_constants(args) -> Tuple[Dict, Dict]:
     from .constants import c_n, critical_a, q_infinity, threshold_table
 
     if args.name == "q_infinity":
@@ -202,11 +194,11 @@ def _run_constants(args) -> Tuple[Dict, Dict, CsvRows]:
             raise LplabError("constants --name c_n requires --n")
         br = c_n(args.n, args.tol)
     elif args.name == "critical_a":
-        br = critical_a(max(args.tol, 1e-8))
+        br = critical_a(args.tol)
     else:
-        header = ["name", "computed_root", "reference", "deviation"]
-        rows = [[e.name, e.computed_root, e.reference, e.deviation] for e in threshold_table()]
-        return {"thresholds": _records(header, rows)}, {"root_tol": 1e-10}, (header, rows)
+        table = [{"name": e.name, "computed_root": e.computed_root, "reference": e.reference,
+                  "deviation": e.deviation} for e in threshold_table()]
+        return {"thresholds": table}, {"root_tol": 1e-10}
     result = {
         "name": args.name,
         "lo": br.lo,
@@ -219,10 +211,10 @@ def _run_constants(args) -> Tuple[Dict, Dict, CsvRows]:
     }
     if br.note:
         result["note"] = br.note
-    return result, {"width": br.width, "tol": args.tol}, None
+    return result, {"width": br.width, "tol": args.tol}
 
 
-def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_verify(args) -> Tuple[Dict, Dict]:
     from . import verify
 
     suite_name, default_grid = _LEMMAS[args.lemma]
@@ -241,26 +233,22 @@ def _run_verify(args) -> Tuple[Dict, Dict, CsvRows]:
         "inapplicable": res.inapplicable,
         "worst_margin": worst,
     }
-    # the CSV row is the result with each list reduced to its length
-    row = [len(v) if isinstance(v, list) else v for v in result.values()]
-    return result, {"worst_margin": worst}, (list(result), [row])
+    return result, {"worst_margin": worst}
 
 
-def _run_scan(args) -> Tuple[Dict, Dict, CsvRows]:
+def _run_scan(args) -> Tuple[Dict, Dict]:
     from .constants import transition_scan
 
     res = transition_scan(args.a_lo, args.a_hi, args.steps)
-    header = ["a", "min_value", "verdict"]
-    rows = [[p.a, p.min_value, p.verdict] for p in res.points]
     result = {
         "single_transition": res.single_transition,
         "transition_interval": list(res.transition_interval)
         if res.transition_interval
         else None,
-        "points": _records(header, rows),
+        "points": [{"a": p.a, "min_value": p.min_value, "verdict": p.verdict} for p in res.points],
     }
     step = (args.a_hi - args.a_lo) / max(args.steps - 1, 1)
-    return result, {"grid_step": step}, (header, rows)
+    return result, {"grid_step": step}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -274,9 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"lplab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
+    def command(name: str, handler: Callable, help: str,
+                table: Optional[Callable] = None) -> argparse.ArgumentParser:
+        """``table`` reads the records of ``--format csv`` off the result; a
+        command without one, or a result it finds none in, has no CSV form."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, table=table)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         return p
@@ -293,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
     p.add_argument("--n", type=int, required=True)
 
-    p = command("quotients", _run_quotients, "tabulate p_n and q_n")
+    p = command("quotients", _run_quotients, "tabulate p_n and q_n", itemgetter("table"))
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--n-max", type=_n_max, required=True, dest="n_max")
@@ -319,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=256)
 
-    p = command("constants", _run_constants, "certified critical constants")
+    p = command("constants", _run_constants, "certified critical constants",
+                lambda result: result.get("thresholds"))
     p.add_argument("--n", type=int, default=None, help="section index for c_n")
     p.add_argument("--tol", type=_finite, default=1e-6)
     p.add_argument(
@@ -328,14 +320,18 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
 
-    p = command("verify", _run_verify, "run an inequality check suite")
+    # verify's CSV table is its one result row, each list reduced to its length
+    p = command("verify", _run_verify, "run an inequality check suite",
+                lambda result: [{k: len(v) if isinstance(v, list) else v
+                                 for k, v in result.items()}])
     suites = ", ".join(f"{k}={s.removeprefix('check_')}" for k, (s, _) in _LEMMAS.items())
     p.add_argument("--lemma", choices=tuple(_LEMMAS), required=True, help=f"which suite: {suites}")
     p.add_argument("--a-grid", type=_parse_grid, default=None, dest="a_grid",
                    metavar="LO:HI:STEPS")
     p.add_argument("--seed", type=int, default=0)
 
-    p = command("scan-conjecture", _run_scan, "verdict scan across a parameter range")
+    p = command("scan-conjecture", _run_scan, "verdict scan across a parameter range",
+                itemgetter("points"))
     p.add_argument("--a-lo", type=_finite, required=True, dest="a_lo")
     p.add_argument("--a-hi", type=_finite, required=True, dest="a_hi")
     p.add_argument("--steps", type=int, required=True)
@@ -344,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # parsed arguments that steer the output rather than the computation
-_NOT_INPUTS = ("command", "handler", "format", "out")
+_NOT_INPUTS = ("command", "handler", "table", "format", "out")
 
 
 def _json_default(value):
@@ -385,17 +381,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "runtime_ms": runtime_ms, "tool_version": __version__}
 
     try:
-        result, bounds, csv_rows = args.handler(args)
+        result, bounds = args.handler(args)
         text = _to_json(envelope(result=result, error_bounds=bounds))
     except (LplabError, OverflowError) as exc:
         _emit(_to_json(envelope(error=str(exc), error_type=type(exc).__name__)), args.out)
         return 1
     if args.format == "csv":
-        if csv_rows is None:
+        records = None if args.table is None else args.table(result)
+        if records is None:
             parser.error(f"--format csv is not available for {args.command!r}")
-        header, rows = csv_rows
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        csv.writer(buf, lineterminator="\n").writerows(
+            [list(records[0]), *(rec.values() for rec in records)]
+        )
         text = buf.getvalue()
     elif args.format == "text":
         # inputs in their JSON form, then the JSON result block

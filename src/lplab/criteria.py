@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
 from .polyroots import RealPolynomial, _dyadic, _sign, isolate_real_roots, refine
@@ -302,43 +302,19 @@ def cubic_section_threshold(tol: float = 1e-12) -> float:
 # six-term section certificate
 # ---------------------------------------------------------------------------
 
-def _polymul(p: List[int], q: List[int]) -> List[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
 def _six_term_expansion() -> Tuple[int, ...]:
     """Exact integer expansion of 729 (a+1)(a^3+1)(a^4+1)(a^5+1)(a^6+1)
-    times the six-term closed form; same sign as the section value at z0."""
-
-    def unit(j: int) -> List[int]:
-        p = [0] * (j + 1)
-        p[0] = 1
-        p[j] = 1
-        return p
-
-    def prod(js: List[int], scale: int) -> List[int]:
-        acc = [scale]
-        for j in js:
-            acc = _polymul(acc, unit(j))
-        return acc
-
-    def padd(p: List[int], q: List[int]) -> List[int]:
-        n = max(len(p), len(q))
-        return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-    sq = unit(2)
-    total = prod([1, 3, 4, 5, 6], 729)
-    total = padd(total, _polymul(prod([3, 4, 5, 6], -162), sq))
-    total = padd(total, _polymul(prod([4, 5, 6], -216), _polymul(sq, sq)))
-    total = padd(total, _polymul(prod([5, 6], 144), _polymul(sq, _polymul(sq, sq))))
-    sq4 = _polymul(_polymul(sq, sq), _polymul(sq, sq))
-    total = padd(total, _polymul(prod([6], -96), sq4))
-    total = padd(total, _polymul([64], _polymul(sq4, sq)))
+    times the six-term closed form; same sign as the section value at z0.
+    Its term m is scale_m (a^2+1)^m prod_{j in J_m} (a^j+1)."""
+    terms = ((729, (1, 3, 4, 5, 6)), (-162, (3, 4, 5, 6)), (-216, (4, 5, 6)),
+             (144, (5, 6)), (-96, (6,)), (64, ()))
+    total = [0] * 21  # degree 20
+    for m, (scale, js) in enumerate(terms):
+        poly = [scale]
+        for j in (2,) * m + js:  # times (a^j + 1)
+            poly = [c + (poly[i - j] if i >= j else 0) for i, c in enumerate(poly + [0] * j)]
+        for i, c in enumerate(poly):
+            total[i] += c
     return tuple(total)
 
 

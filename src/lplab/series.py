@@ -55,6 +55,10 @@ class FamilyKind(str, Enum):
     CUSTOM = "custom"
 
 
+# the Euler-type kinds differ only in the s of a^k + s
+_EULER_SIGN = {FamilyKind.EULER_F: 1, FamilyKind.EULER_H: -1}
+
+
 @dataclass(frozen=True)
 class SeriesFamily:
     """A coefficient family, optionally with the alternating sign convention.
@@ -123,14 +127,12 @@ class SeriesFamily:
         return table
 
     def _ratio(self, k: int) -> float:
-        a = self.a
+        a, s = self.a, _EULER_SIGN.get(self.kind)
         try:
-            if self.kind is FamilyKind.EULER_F:
-                return 1 / (a**k + 1)
+            if s is not None:
+                return 1 / (a**k + s)
             if self.kind is FamilyKind.THETA:
                 return a ** (1 - 2 * k)
-            if self.kind is FamilyKind.EULER_H:
-                return 1 / (a**k - 1)
         except OverflowError:
             return 0.0  # a^k beyond float range: the ratio underflows
         lc = self.custom_log_coeffs
@@ -145,13 +147,11 @@ class SeriesFamily:
         """ln(a_k / a_{k-1}), computed without forming a^k when it overflows."""
         if k < 1:
             raise ParameterError("ratio index must be >= 1")
-        a = self.a
-        if self.kind is FamilyKind.EULER_F:
-            return -(k * math.log(a) + math.log1p(a ** (-k)))
+        a, s = self.a, _EULER_SIGN.get(self.kind)
+        if s is not None:
+            return -(k * math.log(a) + math.log1p(s * a ** (-k)))
         if self.kind is FamilyKind.THETA:
             return (1.0 - 2.0 * k) * math.log(a)
-        if self.kind is FamilyKind.EULER_H:
-            return -(k * math.log(a) + math.log1p(-(a ** (-k))))
         lc = self.custom_log_coeffs
         if k >= len(lc):
             return -math.inf
@@ -467,17 +467,17 @@ def quotients(family: SeriesFamily) -> QuotientView:
 
     The closed forms use integer constants only, so a ``Fraction``
     parameter gives exact rational quotients."""
-    a = family.a
-    if family.kind is FamilyKind.EULER_F:
+    a, s = family.a, _EULER_SIGN.get(family.kind)
+    if s is not None:
 
         def p(n: int) -> float:
-            return a**n + 1
+            return a**n + s
 
         def q(n: int) -> float:
-            # (a^n+1)/(a^{n-1}+1) in a form that never overflows
-            return a * (1 + a ** (-n)) / (1 + a ** (1 - n))
+            # (a^n+s)/(a^{n-1}+s) in a form that never overflows
+            return a * (1 + s * a ** (-n)) / (1 + s * a ** (1 - n))
 
-        limit, monotonicity = a, "increasing"
+        limit, monotonicity = a, "increasing" if s > 0 else "decreasing"
     elif family.kind is FamilyKind.THETA:
 
         def p(n: int) -> float:
@@ -489,15 +489,6 @@ def quotients(family: SeriesFamily) -> QuotientView:
         limit, monotonicity = a * a, "constant"
         if not limit < math.inf:
             raise FloatRangeError(f"q_n = a^2 is beyond the float range at a={a!r}")
-    elif family.kind is FamilyKind.EULER_H:
-
-        def p(n: int) -> float:
-            return a**n - 1
-
-        def q(n: int) -> float:
-            return a * (1 - a ** (-n)) / (1 - a ** (1 - n))
-
-        limit, monotonicity = a, "decreasing"
     else:
         lc = family.custom_log_coeffs
         if len(lc) < 3:
@@ -537,28 +528,29 @@ def scaled_real_value(family: SeriesFamily, x: float) -> Tuple[float, float, flo
     if not 0 < x < math.inf:  # log(inf) would run the sum to its term cap
         raise ParameterError(f"scaled_real_value needs a finite x > 0, got {x!r}")
     logx = math.log(x)
-    log_terms = [math.log(_first_coefficient(family))]
-    k = 0
-    while True:
-        k += 1
-        if k > _TERM_CAP:
-            raise TruncationError(f"no decay within {_TERM_CAP} terms at x={x!r}")
-        lr = family.log_ratio(k)
+    lt = peak = math.log(_first_coefficient(family))
+    log_terms = [lt]
+    lr = family.log_ratio(1)
+    for k in range(1, _TERM_CAP + 1):
         if lr == -math.inf:
             tail_scaled = 0.0
             break
-        log_terms.append(log_terms[-1] + logx + lr)
-        peak = max(log_terms)
-        step = logx + family.log_ratio(k + 1)
-        if log_terms[-1] < peak - _SCALED_DROP and step < 0.0:
+        lt = lt + logx + lr
+        log_terms.append(lt)
+        if lt > peak:  # the running max(log_terms)
+            peak = lt
+        lr = family.log_ratio(k + 1)
+        step = logx + lr
+        if lt < peak - _SCALED_DROP and step < 0.0:
             # geometric tail beyond the last computed term, relative to peak
             ratio = math.exp(step)
-            tail_scaled = math.exp(log_terms[-1] - peak) * ratio / (1.0 - ratio)
+            tail_scaled = math.exp(lt - peak) * ratio / (1.0 - ratio)
             break
-    log_scale = max(log_terms)
+    else:
+        raise TruncationError(f"no decay within {_TERM_CAP} terms at x={x!r}")
     mantissa = 0.0
     for j, lt in enumerate(log_terms):
-        t = math.exp(lt - log_scale)
+        t = math.exp(lt - peak)
         mantissa += -t if (family.alternating and j % 2) else t
     err = tail_scaled + 4.0 * _EPS * len(log_terms)
-    return mantissa, log_scale, err
+    return mantissa, peak, err

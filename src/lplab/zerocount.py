@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from .criteria import minimize_on_interval
 from .errors import FloatRangeError, ParameterError, RealRootsError, ZeroOnCircleError
 from .series import FamilyKind, SeriesFamily, _evaluators, evaluate_many, quotients
-from .series import _MAX_POINTS, _first_coefficient, _normalizing_scale
+from .series import _MAX_POINTS, _TERM_CAP, _first_coefficient, _normalizing_scale
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,13 +58,13 @@ def phi_eval_many(family: SeriesFamily, us: np.ndarray) -> Tuple[np.ndarray, np.
     error bound of each value (``evaluate_many`` at rel_tol 1e-12)."""
     import numpy as np
 
-    if family.kind is FamilyKind.CUSTOM and family.n_terms < 2:
-        # single-coefficient family: already its own normalized form
-        return evaluate_many(family, np.asarray(us, dtype=complex), 1e-12)
-    p1 = _normalizing_scale(family)
+    us = np.asarray(us, dtype=complex)
+    if family.n_terms == 1:  # the constant a_0, so phi = 1: no second coefficient to scale by
+        vals, bnds = evaluate_many(family, us, 1e-12)
+    else:
+        alt = family.with_alternating(True)
+        vals, bnds = evaluate_many(alt, _normalizing_scale(family) * us, 1e-12)
     a0 = _first_coefficient(family)
-    alt = family.with_alternating(True)
-    vals, bnds = evaluate_many(alt, p1 * np.asarray(us, dtype=complex), 1e-12)
     return vals / a0, bnds / a0
 
 
@@ -72,10 +72,14 @@ def rho_radius(family: SeriesFamily, j: int) -> float:
     """The block-domination radius q_2 q_3 ... q_j * sqrt(q_{j+1}).
 
     Computed in log space; j = 1 uses the empty-product convention
-    sqrt(q_2).  Satisfies q_2...q_j < rho_j < q_2...q_j q_{j+1}.
+    sqrt(q_2).  Satisfies q_2...q_j < rho_j < q_2...q_j q_{j+1}.  j lies
+    in [1, 10000], checked before the product: no series is summed past
+    10000 terms, and near a = 1 the product stays finite for billions of j.
     """
     if j < 1:
         raise ParameterError("rho_radius needs j >= 1")
+    if j > _TERM_CAP:
+        raise ParameterError(f"rho_radius needs j <= {_TERM_CAP}")
     qv = quotients(family)
     log_rho = 0.0
     for i in range(2, j + 1):

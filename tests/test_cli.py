@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -263,6 +264,25 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["quotients", "--family", "eulerF", "--a", "2", "--n-max", "x"],
+    ["eval", "--family", "eulerF", "--a", "abc", "--z", "1"],
+    ["eval", "--family", "eulerF", "--a", "4", "--z", "1,x"],
+    ["eval", "--family", "eulerF", "--a", "4", "--z", "1", "--tol", ""],
+    ["zeros", "--a", "4", "--radius", "abc"],
+    ["zeros", "--a", "4", "--radius", "rho:x"],
+    ["verify", "--lemma", "2", "--a-grid", "3:x:2"],
+])
+def test_usage_errors_name_the_expected_form_not_a_function(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected" in err
+    # argparse names the type function of any other error, and each is private
+    assert not re.search(r"(?<![\w-])_\w", err), err
+
+
 def test_computation_errors_exit_1_with_json(capsys):
     code, doc = run_json(
         capsys, ["quotients", "--family", "theta", "--a", "1e200", "--n-max", "3"]
@@ -284,6 +304,15 @@ def test_computation_errors_exit_1_with_json(capsys):
     )
     assert code == 1
     assert doc["error"] == "section degree must be <= 10000"
+    # so is a block radius past it, however slowly its product grows
+    code, doc = run_json(capsys, ["zeros", "--a", "1.001", "--radius", "rho:10001"])
+    assert code == 1
+    assert doc["error"] == "rho_radius needs j <= 10000"
+    # a tolerance below critical_a's resolution is refused, not widened to 1e-8
+    code, doc = run_json(capsys, ["constants", "--name", "critical_a", "--tol", "1e-10"])
+    assert code == 1
+    assert doc["error_type"] == "ParameterError"
+    assert doc["error"] == "tol below achievable resolution (min 1e-8)"
     # base samples past the sample cap: an error report, not a traceback
     code, doc = run_json(
         capsys, ["zeros", "--a", "4", "--radius", "3.4", "--samples", "2000000"]
@@ -460,6 +489,8 @@ def test_inputs_echo_the_parsed_arguments(tmp_path, argv, inputs):
     (["constants", "--name", "thresholds"], "thresholds"),
     (["verify", "--lemma", "rouche", "--a-grid", "2:3:3"], None),
     (["scan-conjecture", "--a-lo", "3.9", "--a-hi", "4.0", "--steps", "10"], "points"),
+    (["verify", "--lemma", "rouche", "--a-grid", "1e100:1e100:1"], None),
+    (["verify", "--lemma", "4algebra"], None),
 ])
 def test_csv_is_the_json_table(capsys, argv, table):
     _, doc = run_json(capsys, argv)

@@ -12,6 +12,7 @@ pin the behavior actually observed:
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from lplab.criteria import (
 )
 from lplab.errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
 from lplab.polyroots import RealPolynomial
-from lplab.series import FamilyKind, SeriesFamily, coefficient_log
+from lplab.series import FamilyKind, SeriesFamily, coefficient_log, quotients
 
 TRUE_SIGN_FLIP = 3.964228020751282        # bisection on the interval minimum
 SIX_TERM_FLIP = 3.9642600256809155        # largest root of the exact expansion
@@ -276,6 +277,29 @@ def test_six_term_expansion_matches_closed_form():
             prod *= a**j + 1.0
         assert poly == pytest.approx(prod * closed, rel=1e-10)
         assert closed == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a", [Fraction(3, 2), Fraction(7, 2), Fraction(3964, 1000), Fraction(9, 2), 5]
+)
+def test_six_term_expansion_is_the_closed_form_exactly(a):
+    # sum c_i a^i == 729 (a+1)(a^3+1)(a^4+1)(a^5+1)(a^6+1) * closed form,
+    # with the closed form in exact rational quotients
+    qv = quotients(SeriesFamily(FamilyKind.EULER_F, Fraction(a)))
+    q2, q3, q4, q5, q6 = (qv.q(j) for j in range(2, 7))
+    closed = (
+        1
+        - Fraction(2, 9) * q2
+        - Fraction(8, 27) * (q2 / q3)
+        + Fraction(16, 81) * (q2 / (q3 * q3 * q4))
+        - Fraction(32, 243) * (q2 / (q3**3 * q4 * q4 * q5))
+        + Fraction(64, 729) * (q2 / (q3**4 * q4**3 * q5 * q5 * q6))
+    )
+    prod = 729
+    for j in (1, 3, 4, 5, 6):
+        prod *= a**j + 1
+    poly = sum(c * Fraction(a) ** i for i, c in enumerate(SIX_TERM_EXPANSION_COEFFS))
+    assert poly == prod * closed
 
 
 def test_six_term_verdicts():

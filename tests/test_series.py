@@ -158,6 +158,21 @@ def test_quotient_overflow_is_a_float_range_error():
     assert eulerF(Fraction(10**400)).a == 10**400
 
 
+@pytest.mark.parametrize(
+    "a", [Fraction(3, 2), Fraction(4), Fraction(101, 100), Fraction(10**30 + 1, 7)]
+)
+def test_euler_h_closed_forms_are_exact_at_a_fraction(a):
+    # eulerH shares eulerF's closed forms with a^k - 1 for a^k + 1
+    fam = eulerH(a)
+    qv = quotients(fam)
+    assert qv.limit == a and qv.monotonicity == "decreasing"
+    for n in range(1, 12):
+        assert fam.ratio(n) == 1 / (a**n - 1)
+        assert qv.p(n) == a**n - 1
+        if n >= 2:
+            assert qv.q(n) == (a**n - 1) / (a ** (n - 1) - 1)
+
+
 def test_non_finite_points_are_rejected_before_the_sum(monkeypatch):
     steps = []
     compute = SeriesFamily._ratio

@@ -52,6 +52,29 @@ def test_rho_radius_beyond_float_range_is_a_float_range_error():
         rho_radius(eulerF(1e60), 6)
 
 
+def test_rho_radius_index_is_capped_before_the_product(monkeypatch):
+    # near a = 1 ln rho_j stays finite for billions of j: the cap, not the
+    # range check, bounds the loop
+    assert rho_radius(eulerF(1.001), 10_000) > 0.0
+
+    def no_product(family):
+        raise AssertionError("formed the quotients")
+
+    monkeypatch.setattr(zerocount, "quotients", no_product)
+    with pytest.raises(ParameterError, match="j <= 10000"):
+        rho_radius(eulerF(1.001), 10_001)
+
+
+def test_one_coefficient_family_is_normalized_to_one():
+    # phi = f(p_1 u) / a_0 is the constant 1 whatever a_0 is
+    fam = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(2.0,))
+    vals, bnds = zerocount.phi_eval_many(fam, np.array([0.5, 1j, -2.0]))
+    assert np.all(vals == 1.0) and np.all(bnds < 1e-14)
+    res = count_zeros_in_disk(fam, 0.7)
+    assert res.count == 0 and res.certified
+    assert res.min_modulus_seen == 1.0
+
+
 def test_z_plane_radius_beyond_float_range_is_checked_before_sampling(monkeypatch):
     def no_circle(*args, **kwargs):
         raise AssertionError("sampled the circle")
