@@ -242,12 +242,10 @@ def _run_scan(args) -> Tuple[Dict, Dict]:
     res = transition_scan(args.a_lo, args.a_hi, args.steps)
     result = {
         "single_transition": res.single_transition,
-        "transition_interval": list(res.transition_interval)
-        if res.transition_interval
-        else None,
+        "transition_interval": res.transition_interval,
         "points": [{"a": p.a, "min_value": p.min_value, "verdict": p.verdict} for p in res.points],
     }
-    step = (args.a_hi - args.a_lo) / max(args.steps - 1, 1)
+    step = (args.a_hi - args.a_lo) / (args.steps - 1)
     return result, {"grid_step": step}
 
 

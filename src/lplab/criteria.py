@@ -10,8 +10,8 @@ Four mechanisms, in increasing strength for the Euler-type family:
     sign tests on (a+1, a^2+1) resp. (a, a^3); these are equivalences.
 
 Verdicts near a threshold fall into a Boundary band sized by the combined
-numerical error; thresholds met *exactly* in exact rational arithmetic count
-as satisfied for the inclusive >= criteria.
+numerical error plus ``tol`` (finite, >= 0); thresholds met *exactly* in
+exact rational arithmetic count as satisfied for the inclusive >= criteria.
 """
 
 from __future__ import annotations
@@ -61,6 +61,14 @@ class CriterionReport:
 
 def _verdict_band(scale: float) -> float:
     return 64.0 * _EPS * max(1.0, scale)
+
+
+def _check_a_tol(a: float, tol: float) -> None:
+    """A tol below 0 would let a margin inside the error budget decide."""
+    if not a > 1:
+        raise ParameterError("requires a > 1")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def _verdict(margin: float, band: float, below: Verdict, above: Verdict) -> Verdict:
@@ -208,8 +216,7 @@ def sign_test_euler(a: float, grid: int = 512, tol: float = 1e-9) -> CriterionRe
     positive one to non-membership.  margin = interval minimum, so negative
     margin favors InLP here.
     """
-    if not a > 1:
-        raise ParameterError("requires a > 1")
+    _check_a_tol(a, tol)
     hi = a * a + 1.0
     if not math.isfinite(hi):
         raise FloatRangeError(f"a^2 + 1 is beyond the float range at a={a!r}")
@@ -221,8 +228,7 @@ def sign_test_theta(
 ) -> CriterionReport:
     """Same contract as ``sign_test_euler`` for the partial theta function
     (or its degree-n section when ``n`` is given) on (a, a^3)."""
-    if not a > 1:
-        raise ParameterError("requires a > 1")
+    _check_a_tol(a, tol)
     if n is not None and n < 2:
         raise ParameterError("section sign test needs n >= 2")
     try:
@@ -355,13 +361,6 @@ def _six_term_section_values(a: float) -> Tuple[float, float, float]:
     return closed, direct, z0
 
 
-def six_term_certificate_values(a: float) -> Tuple[float, float, float]:
-    """(closed form, direct section, exact-expansion polynomial) at
-    z0 = (2/3)(a+1) q_2 for the alternating Euler-type series."""
-    closed, direct, _ = _six_term_section_values(a)
-    return closed, direct, RealPolynomial(SIX_TERM_EXPANSION_COEFFS)(a)
-
-
 def six_term_section_test(a: float, tol: float = 1e-9) -> CriterionReport:
     """Sufficient one-point certificate on the degree-6 section.
 
@@ -372,8 +371,7 @@ def six_term_section_test(a: float, tol: float = 1e-9) -> CriterionReport:
     certified negative value implies a negative full-series value at z0 and
     hence membership; a positive value concludes nothing.
     """
-    if not a > 1:
-        raise ParameterError("requires a > 1")
+    _check_a_tol(a, tol)
     closed, direct, z0 = _six_term_section_values(a)
     denom = max(1.0, abs(closed), abs(direct))
     if abs(closed - direct) > 1e-9 * denom:
@@ -405,8 +403,7 @@ def classify_euler(a: float, grid: int = 512, tol: float = 1e-9) -> CriterionRep
     The first InLP/NotInLP wins and names its criterion; the sign test is
     the authoritative equivalence and supplies the fallback verdict.
     """
-    if not a > 1:
-        raise ParameterError("requires a > 1")
+    _check_a_tol(a, tol)
     fam = SeriesFamily(FamilyKind.EULER_F, a)
     rep = necessary_q2(fam)
     if rep.verdict is Verdict.NOT_IN_LP:

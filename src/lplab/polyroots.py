@@ -26,7 +26,7 @@ from functools import cached_property
 from math import gcd, isfinite, ulp
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ParameterError
+from .errors import FloatRangeError, ParameterError
 from .series import _EPS, _TERM_CAP, FamilyKind, SeriesFamily, _normalizing_scale
 
 IntPoly = List[int]  # ascending coefficients, primitive, nonzero leading term
@@ -328,7 +328,8 @@ def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:
     overflows.  The recorded ``u_scale`` = a_0/a_1 maps roots back to the
     z-plane of the alternating series via z = u_scale * u.  A degree
     outside [1, 10000] or an a_1/a_0 of zero is a ``ParameterError``, an
-    a_1/a_0 beyond the float range a ``FloatRangeError``.
+    a_1/a_0 beyond the float range or a coefficient underflowing to 0 a
+    ``FloatRangeError``.
     """
     if n < 1:
         raise ParameterError("section degree must be >= 1")
@@ -342,5 +343,7 @@ def section_polynomial(family: SeriesFamily, n: int) -> RealPolynomial:
     mag = 1.0
     for k in range(2, n + 1):
         mag *= family.ratio(k) / r1
+        if mag == 0.0:
+            raise FloatRangeError(f"coefficient u^{k} of the degree-{n} section underflows to 0")
         coeffs.append(mag if k % 2 == 0 else -mag)
     return RealPolynomial(tuple(coeffs), u_scale=u_scale)

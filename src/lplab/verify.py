@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,10 +34,14 @@ from .series import (
     section_sum,
     tail_bound,
 )
-from .zerocount import grid_min_modulus, rho_radius
+from .zerocount import _log_rho, grid_min_modulus, rho_radius
 
 _GRID_DENSITY = 2048
 _SEPTIC_ROOT_CEIL = 3.16259  # tail-vs-minimum gap opens above the septic root
+_BLOCK_J = range(4, 13)  # block inequalities at j = 4..12
+_ALTERNATION_K = range(2, 21)  # sign alternation at rho_2 .. rho_20
+_SECTIONS = range(2, 9)  # positivity of the sections of degree 2..8
+_CUBIC_SAMPLES = 64
 
 
 @dataclass
@@ -80,7 +84,7 @@ def check_circle_minimum(a_grid: Sequence[float]) -> CheckResult:
         if not 3.0 <= q2 < 4.0:
             res.inapplicable.append({"a": a, "q2": q2})
             continue
-        numeric = grid_min_modulus(fam, 2, a * a + 1.0, grid=512)
+        numeric = grid_min_modulus(fam, 2, a * a + 1.0)
         res.record(1e-8 - abs(numeric - 1.0), a=a, kind="numeric_min", value=numeric)
         disc = q2 * (q2 - 1.0) ** 2 * (q2 - 4.0)
         res.record(-disc, a=a, kind="discriminant", value=disc)
@@ -110,6 +114,19 @@ def check_tail_gap(a_grid: Sequence[float]) -> CheckResult:
 # block inequalities behind the disk counts
 # ---------------------------------------------------------------------------
 
+def _block_terms(q: Callable[[int], float], j: int) -> Tuple[float, ...]:
+    """(lhs, rhs, parabola vertex, parabola at t = 1, low-ratio margin,
+    high-ratio margin) of the block-domination inequality at index j."""
+    sq = math.sqrt(q(j + 1))
+    block = q(j - 1) * q(j) * sq
+    at_one = 2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1)
+    low_margin = 1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq)
+    high_margin = 1.0 - 1.0 / (sq * q(j + 2) * q(j + 3) * q(j + 4))
+    high = q(j - 1) * q(j) ** 2 / (q(j + 2) ** 2 * q(j + 3)) / high_margin
+    rhs = 1.0 / low_margin + high + block * (1.0 - q(j) / q(j + 2))
+    return block * at_one, rhs, q(j) * sq / 4.0, at_one, low_margin, high_margin
+
+
 def central_block_gap(a: float, j: int) -> Tuple[float, float]:
     """(lhs, rhs) of the block-domination inequality at index j.
 
@@ -118,15 +135,7 @@ def central_block_gap(a: float, j: int) -> Tuple[float, float]:
     low-index sum, the high-index sum (both via geometric majorants) and
     the block-completion term.
     """
-    q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
-    sq = math.sqrt(q(j + 1))
-    lhs = q(j - 1) * q(j) * sq * (2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1))
-    low = 1.0 / (1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq))
-    high = (q(j - 1) * q(j) ** 2 / (q(j + 2) ** 2 * q(j + 3))) / (
-        1.0 - 1.0 / (sq * q(j + 2) * q(j + 3) * q(j + 4))
-    )
-    completion = q(j - 1) * q(j) * sq * (1.0 - q(j) / q(j + 2))
-    return lhs, low + high + completion
+    return _block_terms(quotients(SeriesFamily(FamilyKind.EULER_F, a)).q, j)[:2]
 
 
 def limiting_gap_margin(a: float) -> float:
@@ -139,38 +148,28 @@ def limiting_gap_margin(a: float) -> float:
     return lhs - rhs
 
 
-def check_block_inequalities(
-    a_grid: Sequence[float], j_range: Tuple[int, int] = (4, 12)
-) -> CheckResult:
-    """At each a > 3.56 of the grid: strict block domination for each j in
-    range, the parabola positivity on t in [-1, 1], finite geometric
-    majorants, and the limiting form.  A grid point whose inequalities
-    leave the float range raises ``FloatRangeError``."""
-    j_lo, j_hi = j_range
-    if not (4 <= j_lo <= j_hi <= 40):
-        raise ParameterError("j_range must lie within [4, 40]")
+def check_block_inequalities(a_grid: Sequence[float]) -> CheckResult:
+    """At each a > 3.56 of the grid and each j = 4..12: strict block
+    domination, the parabola positivity on t in [-1, 1], finite geometric
+    majorants; and at each a the limiting form.  A grid point whose
+    inequalities leave the float range raises ``FloatRangeError``."""
     if not all(a > 3.56 for a in a_grid):
         raise ParameterError("block inequalities assume a > 3.56")
-    res = CheckResult("block_inequalities", len(a_grid) * (j_hi - j_lo + 1))
+    res = CheckResult("block_inequalities", len(a_grid) * len(_BLOCK_J))
     try:
         for a in a_grid:
             q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
-            for j in range(j_lo, j_hi + 1):
-                lhs, rhs = central_block_gap(a, j)
+            for j in _BLOCK_J:
+                lhs, rhs, vertex, at_one, low_margin, high_margin = _block_terms(q, j)
                 res.record(lhs - rhs, strict=True, a=a, j=j, kind="block_domination", lhs=lhs,
                            rhs=rhs)
                 # parabola 4t^2 - 2 q_j sqrt(q_{j+1}) t + (q_j q_{j+1} - 2) on
                 # [-1, 1]: vertex beyond t = 1, so the minimum sits at t = 1
-                sq = math.sqrt(q(j + 1))
-                vertex = q(j) * sq / 4.0
                 res.record(vertex - 1.0, a=a, j=j, kind="parabola_vertex", value=vertex)
-                at_one = 2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1)
                 res.record(at_one, a=a, j=j, kind="parabola_min", value=at_one)
                 # geometric majorants must contract: a ratio of 1 sums to infinity
-                res.record(1.0 - 1.0 / (q(j - 2) * q(j - 1) * q(j) * sq), strict=True,
-                           a=a, j=j, kind="low_ratio")
-                res.record(1.0 - 1.0 / (sq * q(j + 2) * q(j + 3) * q(j + 4)), strict=True,
-                           a=a, j=j, kind="high_ratio")
+                res.record(low_margin, strict=True, a=a, j=j, kind="low_ratio")
+                res.record(high_margin, strict=True, a=a, j=j, kind="high_ratio")
             res.record(limiting_gap_margin(a), a=a, kind="limiting_form")
     except OverflowError:
         raise FloatRangeError(f"block inequalities overflow at a={a!r}") from None
@@ -204,7 +203,7 @@ def alternation_block_margin(a: float, k: int) -> float:
     if k < 4:
         raise ParameterError("block sum needs k >= 4")
     q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
-    log_rho = sum(math.log(q(i)) for i in range(2, k + 1)) + 0.5 * math.log(q(k + 1))
+    log_rho = _log_rho(q, k)
 
     def log_term(j: int) -> float:
         s = 0.0
@@ -219,13 +218,11 @@ def alternation_block_margin(a: float, k: int) -> float:
     return total
 
 
-def check_sign_alternation(a_grid: Sequence[float], k_max: int = 20) -> CheckResult:
+def check_sign_alternation(a_grid: Sequence[float]) -> CheckResult:
     """(-1)^k * (normalized series at the k-th block radius) >= 0 for
-    a >= 3, k = 2..k_max, plus the closed-form and seven-term reductions
+    a >= 3, k = 2..20, plus the closed-form and seven-term reductions
     for k >= 4 (the window clips below that)."""
-    if k_max > 30:
-        raise ParameterError("k_max capped at 30")
-    res = CheckResult("sign_alternation", len(a_grid) * max(0, k_max - 1))
+    res = CheckResult("sign_alternation", len(a_grid) * len(_ALTERNATION_K))
     for a in a_grid:
         if a < 3.0:
             res.inapplicable.append({"a": a})
@@ -233,7 +230,7 @@ def check_sign_alternation(a_grid: Sequence[float], k_max: int = 20) -> CheckRes
         fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
         p1 = _normalizing_scale(fam)
         # every block radius in the z variable, range-checked before any sum
-        radii = {k: p1 * rho_radius(fam, k) for k in range(2, k_max + 1)}
+        radii = {k: p1 * rho_radius(fam, k) for k in _ALTERNATION_K}
         for k, x in radii.items():
             if not x < math.inf:
                 raise FloatRangeError(
@@ -273,12 +270,10 @@ def _record_positivity(res: CheckResult, xs, vals, bnds, **params) -> None:
         res.record(float(lower[i]), value=float(lower[i]), **params)
 
 
-def check_positivity_interval(
-    a_grid: Sequence[float], n_list: Sequence[int] = (2, 3, 4, 5, 6, 7, 8)
-) -> CheckResult:
-    """The alternating series and each listed section stay positive on
-    [0, a+1]; at the right endpoint the term chain 1 >= x/(a+1) >
-    x^2/((a+1)(a^2+1)) > ... is checked termwise.  A value within its
+def check_positivity_interval(a_grid: Sequence[float]) -> CheckResult:
+    """The alternating series and its sections of degree 2..8 stay
+    positive on [0, a+1]; at the right endpoint the term chain 1 >= x/(a+1)
+    > x^2/((a+1)(a^2+1)) > ... is checked termwise.  A value within its
     evaluation bound decides nothing: its grid is listed as inapplicable."""
     res = CheckResult("positivity_interval", len(a_grid) * _GRID_DENSITY)
     for a in a_grid:
@@ -289,7 +284,7 @@ def check_positivity_interval(
         xs = np.linspace(0.0, a + 1.0, _GRID_DENSITY)
         vals, bnds = evaluate_many(fam, xs, 1e-13)
         _record_positivity(res, xs, vals, bnds, a=a, kind="series_positivity")
-        for n in n_list:
+        for n in _SECTIONS:
             acc, roundoff = section_sum(fam, n, xs)
             _record_positivity(res, xs, acc, roundoff, a=a, n=n, kind="section_positivity")
         # termwise chain at x = a + 1
@@ -307,15 +302,13 @@ def check_positivity_interval(
 # cubic-minimum algebra
 # ---------------------------------------------------------------------------
 
-def check_cubic_min_algebra(samples: int = 64, seed: int = 0) -> CheckResult:
-    """For random parameters in (3.6, 4.6): the reduced quartic inequality
-    tracks the sign of the cubic minimum, the auxiliary inequality holds,
-    and the critical points are where the reduction needs them."""
-    if samples < 10:
-        raise ParameterError("samples must be >= 10")
+def check_cubic_min_algebra(seed: int = 0) -> CheckResult:
+    """For 64 parameters in (3.6, 4.6) drawn from ``seed``: the reduced
+    quartic inequality tracks the sign of the cubic minimum, the auxiliary
+    inequality holds, and the critical points are where the reduction needs them."""
     rng = np.random.default_rng(seed)
-    res = CheckResult("cubic_min_algebra", samples)
-    for _ in range(samples):
+    res = CheckResult("cubic_min_algebra", _CUBIC_SAMPLES)
+    for _ in range(_CUBIC_SAMPLES):
         a = float(rng.uniform(3.6, 4.6))
         q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
         b, c = q(2), q(3)

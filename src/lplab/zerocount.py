@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .criteria import minimize_on_interval
 from .errors import FloatRangeError, ParameterError, RealRootsError, ZeroOnCircleError
@@ -68,6 +68,14 @@ def phi_eval_many(family: SeriesFamily, us: np.ndarray) -> Tuple[np.ndarray, np.
     return vals / a0, bnds / a0
 
 
+def _log_rho(q: Callable[[int], float], j: int) -> float:
+    """ln rho_j, term by term: ``sum()`` over floats rounds otherwise from Python 3.12 on."""
+    log_rho = 0.0
+    for i in range(2, j + 1):
+        log_rho += math.log(q(i))
+    return log_rho + 0.5 * math.log(q(j + 1))
+
+
 def rho_radius(family: SeriesFamily, j: int) -> float:
     """The block-domination radius q_2 q_3 ... q_j * sqrt(q_{j+1}).
 
@@ -80,11 +88,7 @@ def rho_radius(family: SeriesFamily, j: int) -> float:
         raise ParameterError("rho_radius needs j >= 1")
     if j > _TERM_CAP:
         raise ParameterError(f"rho_radius needs j <= {_TERM_CAP}")
-    qv = quotients(family)
-    log_rho = 0.0
-    for i in range(2, j + 1):
-        log_rho += math.log(qv.q(i))
-    log_rho += 0.5 * math.log(qv.q(j + 1))
+    log_rho = _log_rho(quotients(family).q, j)
     if not log_rho <= _LOG_FLOAT_MAX:
         raise FloatRangeError(f"rho_{j} is beyond the float range (ln rho = {log_rho:.6g})")
     return math.exp(log_rho)

@@ -189,7 +189,7 @@ def test_criterion_07_two_zero_disk():
 
 
 def test_criterion_08_sign_alternation():
-    res = check_sign_alternation([3.0, 3.5, 4.0, 4.6], k_max=20)
+    res = check_sign_alternation([3.0, 3.5, 4.0, 4.6])
     bad = [f for f in res.failures if f.get("kind") == "series_sign"]
     ok = not bad
     assert report(

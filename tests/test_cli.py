@@ -179,7 +179,7 @@ def test_verify_suites(capsys):
 def test_verify_block_inequalities_over_an_a_grid(capsys):
     code, doc = run_json(capsys, ["verify", "--lemma", "3", "--a-grid", "3.6:4.6:3"])
     assert code == 0
-    parts = [check_block_inequalities([a], (4, 12)) for a in doc["inputs"]["a_grid"]]
+    parts = [check_block_inequalities([a]) for a in doc["inputs"]["a_grid"]]
     res = doc["result"]
     assert res["suite"] == "block_inequalities"
     assert res["passed"] and res["failures"] == [] and res["inapplicable"] == []
@@ -343,6 +343,11 @@ def test_computation_errors_exit_1_with_json(capsys):
     assert code == 1
     assert doc["error_type"] == "FloatRangeError"
     assert "rho_" in doc["error"]
+    # a negative tolerance would let a margin inside the error budget decide
+    code, doc = run_json(capsys, ["classify", "--a", "3.8", "--tol", "-1"])
+    assert code == 1
+    assert doc["error_type"] == "ParameterError"
+    assert doc["error"] == "tol must be finite and >= 0, got -1.0"
     # the tail bound rounds to 1: a zero margin is no strict inequality
     code, doc = run_json(capsys, ["verify", "--lemma", "rouche", "--a-grid", "1e100:1e100:1"])
     assert code == 0

@@ -35,7 +35,6 @@ from lplab.criteria import (
     necessary_q2,
     sign_test_euler,
     sign_test_theta,
-    six_term_certificate_values,
     six_term_section_test,
 )
 from lplab.errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
@@ -185,6 +184,27 @@ def test_sign_test_rejects_bad_parameters():
             sign_test_euler(1e160)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -5e-324, math.nan, math.inf])
+def test_tol_must_be_finite_and_nonnegative(monkeypatch, tol):
+    # a negative tol narrowed the Boundary band past the error budget:
+    # classify_euler(3.8, tol=-1) read InLP where the minimum is +0.0344
+    def summed(*args):
+        raise AssertionError("a series was summed before tol was checked")
+
+    monkeypatch.setattr(criteria, "_six_term_section_values", summed)
+    monkeypatch.setattr(criteria, "minimize_on_interval", summed)
+    for test, a in ((classify_euler, 3.8), (six_term_section_test, 3.8),
+                    (sign_test_euler, 3.8), (sign_test_theta, 1.7)):
+        with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
+            test(a, tol=tol)
+
+
+def test_zero_tol_keeps_the_verdicts():
+    assert classify_euler(3.8, tol=0.0).verdict is Verdict.NOT_IN_LP
+    assert sign_test_theta(1.7, tol=0.0).verdict is Verdict.NOT_IN_LP
+    assert six_term_section_test(3.8, tol=0.0).verdict is Verdict.INAPPLICABLE
+
+
 def test_grid_outside_its_cap_is_rejected_before_any_allocation(monkeypatch):
     def no_grid(*args):
         raise AssertionError("built the grid")
@@ -271,7 +291,8 @@ def test_six_term_expansion_coefficients():
 def test_six_term_expansion_matches_closed_form():
     # poly == 729 (a+1)(a^3+1)(a^4+1)(a^5+1)(a^6+1) * closed form
     for a in (3.5, 3.92, 4.3):
-        closed, direct, poly = six_term_certificate_values(a)
+        closed, direct, _ = criteria._six_term_section_values(a)
+        poly = RealPolynomial(SIX_TERM_EXPANSION_COEFFS)(a)
         prod = 729.0
         for j in (1, 3, 4, 5, 6):
             prod *= a**j + 1.0
@@ -352,7 +373,7 @@ def test_six_term_closed_form_identity_randomized():
     rng = np.random.default_rng(99)
     for _ in range(30):
         a = float(rng.uniform(3.0, 5.0))
-        closed, direct, _ = six_term_certificate_values(a)
+        closed, direct, _ = criteria._six_term_section_values(a)
         assert abs(closed - direct) <= 1e-10 * max(1.0, abs(closed), abs(direct))
 
 

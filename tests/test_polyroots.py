@@ -179,6 +179,16 @@ def test_section_polynomial_checks_the_normalizing_scale():
         section_polynomial(flat, 2)
 
 
+@pytest.mark.parametrize("kind, a", [(FamilyKind.THETA, 2.0), (FamilyKind.EULER_F, 4.0)])
+def test_section_polynomial_refuses_an_underflowing_coefficient(kind, a):
+    # the u^34 coefficient is below the least subnormal: stripped as a zero,
+    # it left a degree-33 polynomial in place of the degree-40 section
+    fam = SeriesFamily(kind, a)
+    assert section_polynomial(fam, 33).degree == 33
+    with pytest.raises(FloatRangeError, match=r"u\^34 of the degree-40 section underflows"):
+        section_polynomial(fam, 40)
+
+
 def test_section_scaling_soundness():
     # mapped roots of the section polynomial are zeros of the section itself
     fam = SeriesFamily(FamilyKind.EULER_F, 5.0)

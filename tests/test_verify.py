@@ -68,7 +68,7 @@ def test_strict_records_fail_at_zero_and_others_pass():
 
 def test_block_inequalities_pass():
     for a in (3.57, 4.0, 4.6):
-        res = check_block_inequalities([a], (4, 12))
+        res = check_block_inequalities([a])
         assert res.passed, res.failures[:3]
         assert res.worst_margin >= 0.0
 
@@ -86,15 +86,13 @@ def test_nan_margin_fails():
 
 
 def test_block_inequalities_wide_j():
-    res = check_block_inequalities([3.57], (4, 40))
+    res = check_block_inequalities([3.57])
     assert res.passed
 
 
 def test_block_inequalities_preconditions():
     with pytest.raises(ParameterError):
         check_block_inequalities([2.0])
-    with pytest.raises(ParameterError):
-        check_block_inequalities([4.0], (2, 12))
 
 
 def test_block_gap_two_sides():
@@ -110,12 +108,12 @@ def test_limiting_form_expected_fail_below_threshold():
 
 
 def test_sign_alternation_passes():
-    res = check_sign_alternation([3.0, 3.5, 4.0, 4.6], k_max=20)
+    res = check_sign_alternation([3.0, 3.5, 4.0, 4.6])
     assert res.passed, res.failures[:3]
 
 
 def test_sign_alternation_inapplicable_below_three():
-    res = check_sign_alternation([2.0], k_max=10)
+    res = check_sign_alternation([2.0])
     assert res.inapplicable == [{"a": 2.0}]
     assert res.passed
 
@@ -129,18 +127,13 @@ def test_sign_alternation_two_routes_agree():
             assert nu >= 0.0
 
 
-def test_sign_alternation_caps_k():
-    with pytest.raises(ParameterError):
-        check_sign_alternation([4.0], k_max=31)
-
-
 def test_sign_alternation_range_checks_every_radius_before_summing(monkeypatch):
     sums = []
     monkeypatch.setattr(verify, "scaled_real_value",
                         lambda *args: sums.append(args) or (1.0, 0.0, 0.0))
-    # rho_10 is about 1e285, and p_1 * rho_10 about 1e315
-    with pytest.raises(FloatRangeError, match="rho_10 "):
-        check_sign_alternation([1e30], k_max=10)
+    # rho_20 is about 6.4e301, and p_1 * rho_20 about 1.9e317
+    with pytest.raises(FloatRangeError, match="rho_20 "):
+        check_sign_alternation([3e15])
     # rho_11 itself leaves the float range
     with pytest.raises(FloatRangeError, match="rho_11 "):
         check_sign_alternation([1e30])
@@ -148,7 +141,7 @@ def test_sign_alternation_range_checks_every_radius_before_summing(monkeypatch):
 
 
 def test_positivity_interval_passes():
-    res = check_positivity_interval([4.0], n_list=list(range(2, 9)))
+    res = check_positivity_interval([4.0])
     assert res.passed, res.failures[:3]
     assert res.worst_margin >= 0.0
 
@@ -187,13 +180,18 @@ def test_positivity_certified_negative_point_fails():
 
 
 def test_cubic_min_algebra_passes():
-    res = check_cubic_min_algebra(samples=64, seed=0)
+    res = check_cubic_min_algebra(seed=0)
     assert res.passed, res.failures[:3]
 
 
 def test_cubic_min_algebra_deterministic_per_seed():
-    a = check_cubic_min_algebra(samples=32, seed=7)
-    b = check_cubic_min_algebra(samples=32, seed=7)
+    a = check_cubic_min_algebra(seed=7)
+    b = check_cubic_min_algebra(seed=7)
     assert a.worst_margin == b.worst_margin
-    with pytest.raises(ParameterError):
-        check_cubic_min_algebra(samples=5)
+
+
+def test_suites_check_fixed_ranges():
+    # j = 4..12 and k = 2..20 at each a of the grid, and 64 drawn parameters
+    assert check_block_inequalities([3.57, 4.0]).grid_points == 2 * 9
+    assert check_sign_alternation([2.0, 3.0, 4.0]).grid_points == 3 * 19
+    assert check_cubic_min_algebra(seed=7).grid_points == 64
