@@ -12,6 +12,10 @@ Four mechanisms, in increasing strength for the Euler-type family:
 Verdicts near a threshold fall into a Boundary band sized by the combined
 numerical error plus ``tol`` (finite, >= 0); thresholds met *exactly* in
 exact rational arithmetic count as satisfied for the inclusive >= criteria.
+The quotient criteria of a named family take that arithmetic in integers:
+with a = m/d (d = 2^e for a float), q_2 is (m^2 + s d^2) / (d (m + s d))
+for the Euler kinds (s = +1 for eulerF, -1 for eulerH) and m^2/d^2 for
+theta, and each margin is one correctly rounded int division.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
 from .polyroots import RealPolynomial, _dyadic, _sign, isolate_real_roots, refine
-from .series import _EPS, _MAX_POINTS, FamilyKind, SeriesFamily, _evaluators, quotients, section_sum
+from .series import (
+    _EPS, _EULER_SIGN, _MAX_POINTS, FamilyKind, SeriesFamily, _evaluators, quotients, section_sum,
+)
 from .series import evaluate  # noqa: F401  (perfbench's tracer tests patch this binding)
 
 if TYPE_CHECKING:
@@ -85,6 +90,19 @@ def _verdict(margin: float, band: float, below: Verdict, above: Verdict) -> Verd
 # quotient criteria
 # ---------------------------------------------------------------------------
 
+def _exact_q2(family: SeriesFamily) -> Tuple[int, int]:
+    """q_2 of a named family as integers (num, den), den > 0, at the exact
+    rational value a = m/d of its parameter: (a^2+s)/(a+s) =
+    (m^2 + s d^2) / (d (m + s d)) for the Euler kinds, a^2 = m^2/d^2 for
+    theta.  A margin (num - t den) / den is then one correctly rounded int
+    division, the float that ``float(Fraction)`` gives."""
+    m, d = family.a.as_integer_ratio()
+    s = _EULER_SIGN.get(family.kind)
+    if s is None:
+        return m * m, d * d
+    return m * m + s * d * d, d * (m + s * d)
+
+
 def hutchinson_test(family: SeriesFamily, n_max: int = 20) -> CriterionReport:
     """Sufficient test: q_n >= 4 for every n >= 2 forces real zeros.
 
@@ -104,14 +122,15 @@ def hutchinson_test(family: SeriesFamily, n_max: int = 20) -> CriterionReport:
         return CriterionReport("hutchinson", Verdict.INAPPLICABLE, window_min - 4.0)
     # the closed forms at the exact rational value of the (dyadic) float a;
     # the float view above has already refused an a beyond the float range
-    exact = quotients(SeriesFamily(family.kind, Fraction(family.a)))
-    exact_inf = exact.limit if exact.monotonicity == "decreasing" else exact.q(2)
-    exact_margin = exact_inf - 4
-    if exact_margin == 0:
+    if qv.monotonicity == "decreasing":
+        num, den = family.a.as_integer_ratio()  # lim q_n = a
+    else:
+        num, den = _exact_q2(family)
+    if num == 4 * den:
         # threshold attained exactly in exact arithmetic: inclusive test holds
         return CriterionReport("hutchinson", Verdict.IN_LP, 0.0)
-    margin = float(exact_margin)
-    band = _verdict_band(float(exact_inf))
+    margin = (num - 4 * den) / den
+    band = _verdict_band(num / den)
     return CriterionReport(
         "hutchinson", _verdict(margin, band, Verdict.INAPPLICABLE, Verdict.IN_LP), margin
     )
@@ -129,12 +148,13 @@ def necessary_q2(family: SeriesFamily) -> CriterionReport:
         qs = [qv.q(n) for n in range(2, len(family.custom_log_coeffs))]
         if any(x > y * (1.0 + 1e-12) for x, y in zip(qs, qs[1:])):
             raise PreconditionError("custom quotients are not nondecreasing")
-    if family.kind is not FamilyKind.CUSTOM:
-        # exact q_2 at the (dyadic) float a, as in hutchinson_test
-        qv = quotients(SeriesFamily(family.kind, Fraction(family.a)))
-    q2 = qv.q(2)
-    margin = float(q2 - 3)
-    verdict = _verdict(margin, _verdict_band(float(q2)), Verdict.NOT_IN_LP, Verdict.INAPPLICABLE)
+    if family.kind is FamilyKind.CUSTOM:
+        q2 = qv.q(2)
+        margin = q2 - 3
+    else:  # exact q_2 at the (dyadic) float a, as in hutchinson_test
+        num, den = _exact_q2(family)
+        q2, margin = num / den, (num - 3 * den) / den
+    verdict = _verdict(margin, _verdict_band(q2), Verdict.NOT_IN_LP, Verdict.INAPPLICABLE)
     return CriterionReport("q2_necessary", verdict, margin)
 
 

@@ -20,7 +20,6 @@ term times geometric-series majorant; the same majorant backs ``tail_bound``.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +45,11 @@ _PY_SCALARS = frozenset((float, complex, int))  # never a batch
 _TERM_CAP = 10_000
 _MAX_POINTS = 2**20  # the most points a grid, circle or parameter scan may hold
 _TABLE_START = 32  # first ratio table of a full series; most sums need fewer terms
+# evaluate_many's binding-point rule: the dtypes it runs on, its bound on
+# the largest term, and the factor that puts math.hypot above numpy's |z|
+_DOUBLES = ("float64", "complex128")
+_FAR = 2.0**1000
+_ABS_SLACK = 1.0 + 2.0**-40
 
 
 class FamilyKind(str, Enum):
@@ -273,24 +277,34 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
     np = None if type(z) in _PY_SCALARS else sys.modules.get("numpy")
     batch = np is not None and isinstance(z, np.ndarray)
     top = _array_max if batch else _itself
-    mul = _complex_product if batch and n is not None and np.iscomplexobj(z) else operator.mul
+    cmul = batch and n is not None and np.iscomplexobj(z)
     last = _TERM_CAP if n is None else n
     if family.n_terms is not None:
         last = min(last, family.n_terms - 1)
     try:
         w = -z if family.alternating else z
         absw = abs(w)
-        wmax = top(absw)
+        wmax = _array_max(absw) if batch else absw
         if not wmax < math.inf:  # nan fails this test too
             raise ParameterError(f"non-finite point {_where(z)}")
-        rs = family._ratio_table(min(last + 2, _TABLE_START))
+        need = last + 2 if last < _TABLE_START - 2 else _TABLE_START
+        rs = family._memo
+        if rs is None or len(rs) < need:
+            rs = family._ratio_table(need)
         term = rs[0] * z**0
         total, abs_acc = term, abs(term)
         if n is None and wmax == 0:
             return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
         r, inf = rs[1], math.inf
+        # a double batch tests its stop rule at one binding point first
+        # (see evaluate_many): i is that point, i0 the one of largest |w|
+        pick = batch and n is None and z.dtype in _DOUBLES and isinstance(r, float)
+        if pick:
+            i = i0 = int(absw.argmax())
+            wmax = wi = absw.item(i0)  # the same float, as a Python float
+            hypot = math.hypot if z.dtype.kind == "c" else None
         for k in range(1, last + 1):
-            term = mul(term, w * r)
+            term = _complex_product(term, w * r) if cmul else term * (w * r)
             total = total + term
             mag = abs(term)
             abs_acc = abs_acc + mag
@@ -300,20 +314,33 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
                 rs = family._ratio_table(min(2 * k + 2, last + 2))
                 r = rs[k + 1]
             if n is None:
-                if wmax * r < 1.0:
-                    rho = absw * r
-                    tail = mag * rho / (1.0 - rho)
+                rmax = wmax * r
+                if rmax < 1.0:
+                    if pick and mag.item(i0) < _FAR * (1.0 - rmax):
+                        rho_i = wi * r
+                        tail_i = mag.item(i) * rho_i / (1.0 - rho_i)
+                        t = total.item(i)
+                        s = abs(t) if hypot is None else hypot(t.real, t.imag) * _ABS_SLACK
+                        if tail_i - rel_tol * (s if s > 1.0 else 1.0) > 0:
+                            continue  # the batch fails the rule where i does
                     # tail - rel_tol * max(1, |total|), the worst point of a
                     # batch; a scalar takes the same float without a call
                     # (max keeps its first argument unless s > 1, nan included)
                     if batch:
-                        excess = top(tail - rel_tol * np.maximum(1.0, abs(total)))
+                        rho = absw * r
+                        tail = mag * rho / (1.0 - rho)
+                        excess_at = tail - rel_tol * np.maximum(1.0, abs(total))
+                        excess = top(excess_at)
                     else:
+                        tail = mag * rmax / (1.0 - rmax)  # rmax is |w| r
                         s = abs(total)
                         excess = tail - rel_tol * (s if s > 1.0 else 1.0)
                     if excess <= 0:
                         bound, terms = tail + 4.0 * _EPS * k * abs_acc, k + 1
                         break
+                    if pick:
+                        i = int(excess_at.argmax())
+                        wi = absw.item(i)
                     if not (excess < inf or top(abs_acc) < inf):
                         raise FloatRangeError(f"the terms overflow {_where(z)}")
                 elif not top(abs_acc) < inf:  # still growing, already past the range
@@ -328,7 +355,7 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
             bound = 4.0 * _EPS * (terms if n is None else n + 1) * abs_acc
     except OverflowError:
         raise FloatRangeError(f"the terms overflow {_where(z)}") from None
-    if not top(bound) < math.inf:
+    if not (top(bound) if batch else bound) < math.inf:
         raise FloatRangeError(f"the terms overflow {_where(z)}")
     return total, bound, terms
 
@@ -360,6 +387,19 @@ def evaluate_many(
     may differ in the last bits, since numpy's complex product may fuse into
     multiply-adds.  numpy's overflow and invalid-value warnings are silenced:
     terms beyond the float range raise ``FloatRangeError`` instead.
+
+    A float64 or complex128 batch tests the rule at one binding point i
+    first.  While tail_i - rel_tol * max(1, |total_i|) > 0 the batch cannot
+    stop, and the test over all points is skipped.  i starts at the point
+    of largest |w| and moves to the point of largest excess whenever the
+    test over all points fails, so the batch stops at the same term, with
+    the same values and bounds, as when every term tests every point.  The
+    skip also needs the term at the largest |w| below 2^1000 (1 - rho).  No
+    other point's term or tail is larger on real points, nor larger by more
+    than rounding on complex ones, so no point leaves the float range on a
+    skipped term, and overflow raises at the same term.  On complex points ``math.hypot``
+    stands in for numpy's |total_i|, raised by 2^-40 relative to cover the
+    ulp by which they differ.
     """
     import numpy as np
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lplab import criteria, polyroots
 from lplab.criteria import (
@@ -72,6 +74,12 @@ def test_hutchinson_theta_exact_threshold_is_membership():
     assert rep.margin == 0.0
 
 
+def test_hutchinson_euler_h_exact_limit_is_membership():
+    # q_n decreases to a = 4 exactly: the limit decides, inclusively
+    rep = hutchinson_test(SeriesFamily(FamilyKind.EULER_H, 4.0))
+    assert (rep.verdict, rep.margin.hex()) == (Verdict.IN_LP, "0x0.0p+0")
+
+
 def test_hutchinson_below_threshold_is_inconclusive():
     assert hutchinson_test(eulerF(4.0)).verdict is Verdict.INAPPLICABLE
 
@@ -121,6 +129,64 @@ def test_necessary_q2_rejects_non_monotone_custom_quotients():
     fam = SeriesFamily(FamilyKind.CUSTOM, custom_log_coeffs=(0.0, 0.0, -2.0, -3.0, -6.0))
     with pytest.raises(PreconditionError, match="not nondecreasing"):
         necessary_q2(fam)
+
+
+# ---------------------------------------------------------------------------
+# integer q_2: the same reports as the closed forms over Fraction
+# ---------------------------------------------------------------------------
+
+def _by_fraction(criterion, family):
+    """(verdict, margin hex) of a named family's quotient criterion through
+    the closed forms at Fraction(a), or (error type, message)."""
+    try:
+        qv = quotients(family)
+        if criterion is necessary_q2 and qv.monotonicity == "decreasing":
+            raise PreconditionError("necessary_q2 requires nondecreasing quotients")
+        exact = quotients(SeriesFamily(family.kind, Fraction(family.a)))
+        if criterion is necessary_q2:
+            q, t, below, above = exact.q(2), 3, Verdict.NOT_IN_LP, Verdict.INAPPLICABLE
+        else:
+            q = exact.limit if exact.monotonicity == "decreasing" else exact.q(2)
+            t, below, above = 4, Verdict.INAPPLICABLE, Verdict.IN_LP
+            if q == t:
+                return Verdict.IN_LP, (0.0).hex()
+        margin = float(q - t)
+        return _verdict(margin, criteria._verdict_band(float(q)), below, above), margin.hex()
+    except (PreconditionError, FloatRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def _report(criterion, family):
+    try:
+        rep = criterion(family)
+    except (PreconditionError, FloatRangeError) as exc:
+        return type(exc), str(exc)
+    return rep.verdict, rep.margin.hex()
+
+
+_NAMED_KINDS = [FamilyKind.EULER_F, FamilyKind.THETA, FamilyKind.EULER_H]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_NAMED_KINDS), st.floats(1.0, 1e6, exclude_min=True),
+       st.sampled_from([necessary_q2, hutchinson_test]))
+@example(FamilyKind.THETA, 2.0, hutchinson_test)
+@example(FamilyKind.EULER_H, 4.0, hutchinson_test)
+@example(FamilyKind.EULER_F, (3.0 + math.sqrt(17.0)) / 2.0, necessary_q2)
+@example(FamilyKind.EULER_F, 2.0 + math.sqrt(7.0), hutchinson_test)
+@example(FamilyKind.THETA, 1.0000000000000002, necessary_q2)
+def test_integer_q2_gives_the_fraction_reports(kind, a, criterion):
+    family = SeriesFamily(kind, a)
+    assert _report(criterion, family) == _by_fraction(criterion, family)
+
+
+@pytest.mark.parametrize("kind", _NAMED_KINDS)
+@pytest.mark.parametrize("a", [1e154, 1.5e154, 1e300])
+def test_integer_q2_keeps_the_range_errors(kind, a):
+    # theta's q_2 = a^2 leaves the float range past a ~ 1.34e154
+    for criterion in (necessary_q2, hutchinson_test):
+        family = SeriesFamily(kind, a)
+        assert _report(criterion, family) == _by_fraction(criterion, family)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ winding count must leave every value, bound and bracket the same float:
 these fail on any reordered operation.
 """
 
+import hashlib
+import math
+
 from lplab.constants import q_infinity
-from lplab.criteria import sign_test_euler
+from lplab.criteria import classify_euler, sign_test_euler
 from lplab.polyroots import isolate_real_roots, refine, section_polynomial
-from lplab.series import FamilyKind, SeriesFamily, evaluate, section_sum
+from lplab.series import FamilyKind, SeriesFamily, evaluate, evaluate_many, section_sum
 from lplab.zerocount import count_zeros_in_disk, rho_radius
 
 
@@ -50,6 +53,51 @@ def test_outputs_keep_their_bits():
     # it meets the bracket of the 32-point probe and bisection (51 evaluations)
     old_lo, old_hi = "0x1.9de7cdef7bdf0p+1", "0x1.9de7ce739ce74p+1"
     assert br.lo <= float.fromhex(old_hi) and float.fromhex(old_lo) <= br.hi
+
+
+def _digest(values, bounds):
+    return hashlib.sha256(values.tobytes() + bounds.tobytes()).hexdigest()
+
+
+# evaluate_many on the 512-point grid of sign_test_euler(3.8), and on 257
+# points of the circle |z| = rho_6 of eulerF at a = 4.  numpy fuses the
+# complex product into multiply-adds where the CPU has them (x86-64-v3 and
+# up), so the circle has one digest with that product and one without.
+GRID_SHA256 = "fe2d6e8a019b7e36a9c1d36f89d8da77834726204bfa44296fff6f21d8d7203b"
+CIRCLE_SHA256 = (
+    "2d057ba975f8cf49b1de5150b2a618938ab030d49ea154a0761131be6066831c",
+    "7e9e63960bd8c028b2e015673203da12b995bbfcd2f76b0fd94b51748db3deb8",
+)
+
+
+def test_batches_keep_their_bits():
+    import numpy as np  # the no-numpy CI job imports this module for EVALUATE
+
+    a = 3.8
+    grid = np.linspace(a + 1.0, a * a + 1.0, 514)[1:-1]
+    fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
+    assert _digest(*evaluate_many(fam, grid, 1e-13)) == GRID_SHA256
+    fam = SeriesFamily(FamilyKind.EULER_F, 4.0)
+    radius = rho_radius(fam, 6)
+    assert radius.hex() == "0x1.99a9997ccdec8p+10"
+    circle = np.array([complex(radius * math.cos(2 * math.pi * k / 257),
+                               radius * math.sin(2 * math.pi * k / 257)) for k in range(257)])
+    assert _digest(*evaluate_many(fam, circle)) in CIRCLE_SHA256
+
+
+# classify_euler at one a per stage of its cascade: (criterion, verdict, margin)
+CLASSIFY = {
+    2.0: ("q2_necessary", "NotInLP", "-0x1.5555555555555p+0"),
+    5.5: ("hutchinson", "InLP", "0x1.9d89d89d89d8ap-1"),
+    4.3: ("six_term_section", "InLP", "-0x1.231213451867dp-4"),
+    3.8: ("sign_test_euler", "NotInLP", "0x1.1988b5e668a33p-5"),
+}
+
+
+def test_cascade_margins_keep_their_bits():
+    for a, want in CLASSIFY.items():
+        rep = classify_euler(a)
+        assert (rep.criterion, rep.verdict.value, rep.margin.hex()) == want
 
 
 # the degree-12 eulerF section at a = 4 on (-1e7, 1e7): (lo, hi, sign_lo,
