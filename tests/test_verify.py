@@ -85,6 +85,11 @@ def test_nan_margin_fails():
     assert math.isnan(res.failures[0]["margin"])
 
 
+def test_block_inequalities_wide_j():
+    res = check_block_inequalities([3.57])
+    assert res.passed
+
+
 def test_block_inequalities_preconditions():
     with pytest.raises(ParameterError):
         check_block_inequalities([2.0])
