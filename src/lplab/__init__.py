@@ -3,9 +3,9 @@ order-zero entire series with positive Taylor coefficients.
 
 The public names are served lazily (PEP 562): ``from lplab import
 isolate_real_roots`` imports ``lplab.polyroots`` and what it needs, and no
-other layer.  No layer here imports numpy with its module: it is loaded at
-the first batch of points (a sign test's grid, a winding count, a constant's
-probe scan), so the exact layer and verdicts decided by scalar criteria
+other layer.  No layer imports numpy with its module: it is loaded at the
+first array of points (a sign test's grid, a winding count), so the exact
+layer, verdicts decided by scalar criteria and the scalar verify suites
 start without it.
 """
 

@@ -22,14 +22,16 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from . import __version__
 from .errors import FloatRangeError, LplabError
 from .series import _MAX_POINTS, FamilyKind, SeriesFamily, evaluate, quotients, section_sum
+from .series import _linspace
 
 if TYPE_CHECKING:
     from .criteria import CriterionReport
 
-# Each handler imports its layer when it runs, and no layer but verify imports
-# numpy with its module: a batch of points loads it at its first use.  So
-# eval, section, quotients, constants --name thresholds and a classify that a
-# quotient criterion or the six-term certificate decides run without numpy.
+# Each handler imports its layer when it runs, and no layer imports numpy with
+# its module: an array of points loads it at its first use.  So eval, section,
+# quotients, constants --name thresholds, verify --lemma 3|6|rouche and a
+# classify that a quotient criterion or the six-term certificate decides run
+# without numpy.
 
 _FAMILIES = {kind.value: kind for kind in FamilyKind if kind is not FamilyKind.CUSTOM}
 
@@ -70,9 +72,7 @@ def _parse_grid(text: str) -> List[float]:
         lo, hi, steps = text.split(":")
         if not 1 <= int(steps) <= _MAX_POINTS:
             raise ValueError(f"STEPS must lie in [1, {_MAX_POINTS}]")
-        import numpy as np
-
-        return [float(x) for x in np.linspace(_finite(lo), _finite(hi), int(steps))]
+        return _linspace(_finite(lo), _finite(hi), int(steps))
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected LO:HI:STEPS with 1 <= STEPS <= {_MAX_POINTS}, got {text!r}"

@@ -24,7 +24,7 @@ from .criteria import (
 )
 from .errors import BracketError, MonotonicityError, ParameterError
 from .polyroots import RealPolynomial, isolate_real_roots, refine
-from .series import _MAX_POINTS
+from .series import _MAX_POINTS, _linspace
 
 _PROBE_POINTS = 12
 # ITP's truncation constants (Oliveira & Takahashi, ACM TOMS 47, 2021):
@@ -92,9 +92,7 @@ def bisect_predicate(
         raise ParameterError("tol must be positive")
     if tol < 16.0 * math.ulp(max(abs(lo), abs(hi))):
         raise ParameterError("tol below the float resolution of [lo, hi]")
-    import numpy as np
-
-    xs = [float(x) for x in np.linspace(lo, hi, _PROBE_POINTS)]
+    xs = _linspace(lo, hi, _PROBE_POINTS)
     ys = [margin(x) for x in xs]
     scan = [(x, bool(y <= 0.0)) for x, y in zip(xs, ys)]
     evals = len(scan)
@@ -341,12 +339,10 @@ def transition_scan(a_lo: float, a_hi: float, steps: int, grid: int = 512) -> Sc
         raise ParameterError("need a_lo < a_hi")
     if not 10 <= steps <= _MAX_POINTS:
         raise ParameterError(f"steps must lie in [10, {_MAX_POINTS}]")
-    import numpy as np
-
     points: List[ScanPoint] = []
-    for a in np.linspace(a_lo, a_hi, steps):
-        rep = sign_test_euler(float(a), grid)
-        points.append(ScanPoint(float(a), rep.margin, rep.verdict.value))
+    for a in _linspace(a_lo, a_hi, steps):
+        rep = sign_test_euler(a, grid)
+        points.append(ScanPoint(a, rep.margin, rep.verdict.value))
     decisive = [p for p in points if p.verdict != Verdict.BOUNDARY.value]
     flips = [
         (decisive[i], decisive[i + 1])

@@ -23,17 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
 from .polyroots import RealPolynomial, _dyadic, _sign, isolate_real_roots, refine
-from .series import (
-    _EPS, _EULER_SIGN, _MAX_POINTS, FamilyKind, SeriesFamily, _evaluators, quotients, section_sum,
-)
+from .series import _EPS, _EULER_SIGN, FamilyKind, SeriesFamily, _evaluators, quotients
+from .series import minimize_on_interval, section_sum
 from .series import evaluate  # noqa: F401  (perfbench's tracer tests patch this binding)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # numpy is imported by the minimizer's grid scan only: the quotient criteria
 # and the six-term certificate decide with scalar and exact arithmetic
@@ -159,73 +155,6 @@ def necessary_q2(family: SeriesFamily) -> CriterionReport:
 
 
 # ---------------------------------------------------------------------------
-# interval minimization
-# ---------------------------------------------------------------------------
-
-def _golden_min(
-    fn: Callable[[float], Tuple[float, float]], lo: float, hi: float
-) -> Tuple[float, float, float]:
-    """Golden-section search for the minimum of ``fn(x) = (value, error)``
-    on [lo, hi]; returns (value, argmin, error) of the better probe.
-
-    Stops when bracket and probes repeat the state of two steps before (90
-    steps at most).  Such a cycle occurs only on a bracket at most one ulp
-    wide, and its states share one winner: the full 90 steps end the same.
-    """
-    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_gr * (hi - lo)
-    x2 = lo + inv_gr * (hi - lo)
-    f1, e1 = fn(x1)
-    f2, e2 = fn(x2)
-    prev = older = None
-    for _ in range(90):
-        if f1 <= f2:
-            hi, x2, f2, e2 = x2, x1, f1, e1
-            x1 = hi - inv_gr * (hi - lo)
-            f1, e1 = fn(x1)
-        else:
-            lo, x1, f1, e1 = x1, x2, f2, e2
-            x2 = lo + inv_gr * (hi - lo)
-            f2, e2 = fn(x2)
-        state = (lo, hi, x1, x2)
-        if state == older:
-            break
-        older, prev = prev, state
-    return (f1, x1, e1) if f1 <= f2 else (f2, x2, e2)
-
-
-def minimize_on_interval(
-    fn: Callable[[float], Tuple[float, float]],
-    batch: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    grid: int,
-) -> Tuple[float, float, float]:
-    """Grid scan then golden-section refinement around the best cell.
-
-    ``fn(x)`` returns (value, error_bound); ``batch(xs)`` returns the grid
-    values in one vectorized call.  The grid is the ``grid`` interior points
-    of ``grid + 1`` equal cells of (lo, hi); the best point's cell reaches
-    to its neighbours (to lo or hi at the ends).  ``grid`` lies in
-    [8, 2^20], checked before the grid is built.  Returns (min_value,
-    argmin, error)."""
-    if not 8 <= grid <= _MAX_POINTS:
-        raise ParameterError(f"grid must lie in [8, {_MAX_POINTS}]")
-    import numpy as np
-
-    xs = np.linspace(lo, hi, grid + 2)[1:-1]
-    vals = batch(xs)
-    i = int(np.argmin(vals))
-    cell_lo = xs[i - 1] if i > 0 else lo
-    cell_hi = xs[i + 1] if i + 1 < len(xs) else hi
-    v, x, e = _golden_min(fn, float(cell_lo), float(cell_hi))
-    if vals[i] < v:
-        x = float(xs[i])
-        v, e = fn(x)
-    return v, x, e
-
-
-# ---------------------------------------------------------------------------
 # sign tests (the decisive equivalences)
 # ---------------------------------------------------------------------------
 
@@ -273,42 +202,15 @@ def _sign_test(
 
 
 # ---------------------------------------------------------------------------
-# cubic-section threshold machinery
+# cubic-section threshold
 # ---------------------------------------------------------------------------
 
 # a^8 - 8a^7 + 15a^6 + 12a^5 - 21a^4 - 28a^3 - 43a^2 - 40a - 16, ascending:
 # the exact polynomialization of "the cubic-section minimum can be <= 0",
 # i.e. of  b^2 c^2 - 4 b^2 c + 18 b c - 4 b c^2 - 27 >= 0  under
-# b = (a^2+1)/(a+1), c = (a^3+1)/(a^2+1), cleared of denominators.
+# b = (a^2+1)/(a+1), c = (a^3+1)/(a^2+1), cleared of denominators
+# (lplab.verify checks that reduction: ``check_cubic_min_algebra``).
 CUBIC_THRESHOLD_COEFFS: Tuple[int, ...] = (-16, -40, -43, -28, -21, 12, 15, -8, 1)
-
-
-def cubic_profile(y: float, b: float, c: float) -> float:
-    """K(y) = 1 - y + y^2/b - y^3/(b^2 c), the normalized cubic section at
-    y = z/(a+1) with b = q_2 and c = q_3."""
-    return 1.0 - y + y * y / b - y**3 / (b * b * c)
-
-
-def cubic_critical_points(b: float, c: float) -> Tuple[float, float]:
-    """Roots (y1, y2) of K'(y); requires c > 3 for a positive discriminant.
-    y1 is the interior local minimum, y1 in (1, b) and y2 > b for the
-    parameter range of interest."""
-    if not c > 3.0:
-        raise ParameterError("critical points need c > 3")
-    root = b * math.sqrt(c * (c - 3.0))
-    return (b * c - root) / 3.0, (b * c + root) / 3.0
-
-
-def cubic_reduced_margin(b: float, c: float) -> float:
-    """b^2 c^2 - 4 b^2 c + 18 b c - 4 b c^2 - 27; this is >= 0 exactly when
-    K(y1) <= 0 (given the auxiliary inequality below holds)."""
-    return b * b * c * c - 4.0 * b * b * c + 18.0 * b * c - 4.0 * b * c * c - 27.0
-
-
-def cubic_aux_margin(b: float, c: float) -> float:
-    """27 - 9 b c + 2 b c^2, nonnegative throughout the working range; its
-    sign legitimizes squaring in the reduction to ``cubic_reduced_margin``."""
-    return 27.0 - 9.0 * b * c + 2.0 * b * c * c
 
 
 def cubic_section_threshold(tol: float = 1e-12) -> float:

@@ -15,6 +15,8 @@ and standalone coefficients are exposed in log form only.
 
 Evaluation returns a rigorous truncation bound built from a first-neglected-
 term times geometric-series majorant; the same majorant backs ``tail_bound``.
+The one interval minimizer, which the sign tests and circle minima share,
+lives beside the evaluators that feed it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported by the batch helpers only: scalar sums, and the exact
-# layer that imports this module, run without it
+# numpy is imported by the batch helpers and the minimizer's grid scan only:
+# scalar sums, and the exact layer that imports this module, run without it
 _EPS = sys.float_info.epsilon
 _PY_SCALARS = frozenset((float, complex, int))  # never a batch
 _TERM_CAP = 10_000
@@ -208,7 +210,11 @@ def coefficient_log(family: SeriesFamily, k: int) -> float:
         if k >= len(lc):
             raise ParameterError(f"custom family has only {len(lc)} coefficients")
         return lc[k]
-    return sum(family.log_ratio(j) for j in range(1, k + 1))
+    # left to right: ``sum()`` over floats rounds otherwise from Python 3.12 on
+    log_ak = 0.0
+    for j in range(1, k + 1):
+        log_ak += family.log_ratio(j)
+    return log_ak
 
 
 def _first_coefficient(family: SeriesFamily) -> float:
@@ -427,7 +433,7 @@ def _evaluators(family: SeriesFamily, n: Optional[int]):
     """The series (``n=None``, through ``evaluate``/``evaluate_many`` at
     rel_tol 1e-13) or its degree-n section (through ``section_sum``) as a
     pair of callables: one point to (value, error_bound), and an array of
-    points to their values.  The minimizers take their points from here."""
+    points to their values, as ``minimize_on_interval`` takes them."""
     if n is None:
         def one(z) -> Tuple[complex, float]:
             res = evaluate(family, z, 1e-13)
@@ -445,6 +451,80 @@ def _evaluators(family: SeriesFamily, n: Optional[int]):
             with np.errstate(over="ignore", invalid="ignore"):
                 return section_sum(family, n, zs)[0]
     return one, many
+
+
+def _linspace(lo: float, hi: float, num: int) -> list:
+    """``np.linspace(lo, hi, num)`` as a list of Python floats, bit for bit:
+    point i is i * step + lo (i / (num-1) * (hi-lo) + lo where the step
+    underflows to 0), and the last point is hi itself."""
+    lo, hi = float(lo), float(hi)
+    delta, div = hi - lo, max(num - 1, 1)
+    step = delta / div
+    xs = [(i * step if step else i / div * delta) + lo for i in range(num)]
+    return xs[:-1] + [hi] if num > 1 else xs
+
+
+def _golden_min(
+    fn: Callable[[float], Tuple[float, float]], lo: float, hi: float
+) -> Tuple[float, float, float]:
+    """Golden-section search for the minimum of ``fn(x) = (value, error)``
+    on [lo, hi]; returns (value, argmin, error) of the better probe.
+
+    Stops when bracket and probes repeat the state of two steps before (90
+    steps at most).  Such a cycle occurs only on a bracket at most one ulp
+    wide, and its states share one winner: the full 90 steps end the same.
+    """
+    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_gr * (hi - lo)
+    x2 = lo + inv_gr * (hi - lo)
+    f1, e1 = fn(x1)
+    f2, e2 = fn(x2)
+    prev = older = None
+    for _ in range(90):
+        if f1 <= f2:
+            hi, x2, f2, e2 = x2, x1, f1, e1
+            x1 = hi - inv_gr * (hi - lo)
+            f1, e1 = fn(x1)
+        else:
+            lo, x1, f1, e1 = x1, x2, f2, e2
+            x2 = lo + inv_gr * (hi - lo)
+            f2, e2 = fn(x2)
+        state = (lo, hi, x1, x2)
+        if state == older:
+            break
+        older, prev = prev, state
+    return (f1, x1, e1) if f1 <= f2 else (f2, x2, e2)
+
+
+def minimize_on_interval(
+    fn: Callable[[float], Tuple[float, float]],
+    batch: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    grid: int,
+) -> Tuple[float, float, float]:
+    """Grid scan then golden-section refinement around the best cell.
+
+    ``fn(x)`` returns (value, error_bound); ``batch(xs)`` returns the grid
+    values in one vectorized call.  The grid is the ``grid`` interior points
+    of ``grid + 1`` equal cells of (lo, hi); the best point's cell reaches
+    to its neighbours (to lo or hi at the ends).  ``grid`` lies in
+    [8, 2^20], checked before the grid is built.  Returns (min_value,
+    argmin, error)."""
+    if not 8 <= grid <= _MAX_POINTS:
+        raise ParameterError(f"grid must lie in [8, {_MAX_POINTS}]")
+    import numpy as np
+
+    xs = np.linspace(lo, hi, grid + 2)[1:-1]
+    vals = batch(xs)
+    i = int(np.argmin(vals))
+    cell_lo = xs[i - 1] if i > 0 else lo
+    cell_hi = xs[i + 1] if i + 1 < len(xs) else hi
+    v, x, e = _golden_min(fn, float(cell_lo), float(cell_hi))
+    if vals[i] < v:
+        x = float(xs[i])
+        v, e = fn(x)
+    return v, x, e
 
 
 def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:
@@ -467,7 +547,7 @@ def tail_bound(family: SeriesFamily, start_index: int, r: float) -> float:
             for k in range(start_index, n_custom):
                 bound += math.exp(family.custom_log_coeffs[k]) * r**k
         elif r == 0.0:
-            bound = _first_coefficient(family) if start_index == 0 else 0.0
+            bound = 1.0 if start_index == 0 else 0.0  # a_0 = 1
         else:
             log_first = coefficient_log(family, start_index) + start_index * math.log(r)
             rho = r * family.ratio(start_index + 1)

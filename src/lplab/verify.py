@@ -15,26 +15,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from .criteria import (
-    cubic_aux_margin,
-    cubic_critical_points,
-    cubic_profile,
-    cubic_reduced_margin,
-)
 from .errors import FloatRangeError, ParameterError
-from .series import (
-    FamilyKind,
-    SeriesFamily,
-    _normalizing_scale,
-    evaluate_many,
-    quotients,
-    scaled_real_value,
-    section_sum,
-    tail_bound,
-)
+from .series import FamilyKind, SeriesFamily, _normalizing_scale, evaluate_many, quotients
+from .series import scaled_real_value, section_sum, tail_bound
 from .zerocount import _log_rho, grid_min_modulus, rho_radius
+
+# numpy is imported where an array is built (the positivity grids, the cubic
+# suite's draws, the circle suite's scan): tail, block and alternation run without it
 
 _GRID_DENSITY = 2048
 _SEPTIC_ROOT_CEIL = 3.16259  # tail-vs-minimum gap opens above the septic root
@@ -260,8 +247,8 @@ def _record_positivity(res: CheckResult, xs, vals, bnds, **params) -> None:
     but some value lies within its bound, the grid is undecided and is
     listed as inapplicable instead, with the point of least margin."""
     lower = vals - bnds
-    i = int(np.argmin(lower))
-    if not lower[i] >= 0.0 and float(np.min(vals + bnds)) >= 0.0:
+    i = int(lower.argmin())
+    if not lower[i] >= 0.0 and float((vals + bnds).min()) >= 0.0:
         res.inapplicable.append({
             **params, "x": float(xs[i]),
             "reason": f"value {vals[i]:.3g} lies within its evaluation bound {bnds[i]:.3g}",
@@ -275,6 +262,8 @@ def check_positivity_interval(a_grid: Sequence[float]) -> CheckResult:
     positive on [0, a+1]; at the right endpoint the term chain 1 >= x/(a+1)
     > x^2/((a+1)(a^2+1)) > ... is checked termwise.  A value within its
     evaluation bound decides nothing: its grid is listed as inapplicable."""
+    import numpy as np
+
     res = CheckResult("positivity_interval", len(a_grid) * _GRID_DENSITY)
     for a in a_grid:
         if not a > 1.0:
@@ -302,10 +291,40 @@ def check_positivity_interval(a_grid: Sequence[float]) -> CheckResult:
 # cubic-minimum algebra
 # ---------------------------------------------------------------------------
 
+def cubic_profile(y: float, b: float, c: float) -> float:
+    """K(y) = 1 - y + y^2/b - y^3/(b^2 c), the normalized cubic section at
+    y = z/(a+1) with b = q_2 and c = q_3."""
+    return 1.0 - y + y * y / b - y**3 / (b * b * c)
+
+
+def cubic_critical_points(b: float, c: float) -> Tuple[float, float]:
+    """Roots (y1, y2) of K'(y); requires c > 3 for a positive discriminant.
+    y1 is the interior local minimum, y1 in (1, b) and y2 > b for the
+    parameter range of interest."""
+    if not c > 3.0:
+        raise ParameterError("critical points need c > 3")
+    root = b * math.sqrt(c * (c - 3.0))
+    return (b * c - root) / 3.0, (b * c + root) / 3.0
+
+
+def cubic_reduced_margin(b: float, c: float) -> float:
+    """b^2 c^2 - 4 b^2 c + 18 b c - 4 b c^2 - 27; this is >= 0 exactly when
+    K(y1) <= 0 (given the auxiliary inequality below holds)."""
+    return b * b * c * c - 4.0 * b * b * c + 18.0 * b * c - 4.0 * b * c * c - 27.0
+
+
+def cubic_aux_margin(b: float, c: float) -> float:
+    """27 - 9 b c + 2 b c^2, nonnegative throughout the working range; its
+    sign legitimizes squaring in the reduction to ``cubic_reduced_margin``."""
+    return 27.0 - 9.0 * b * c + 2.0 * b * c * c
+
+
 def check_cubic_min_algebra(seed: int = 0) -> CheckResult:
     """For 64 parameters in (3.6, 4.6) drawn from ``seed``: the reduced
     quartic inequality tracks the sign of the cubic minimum, the auxiliary
     inequality holds, and the critical points are where the reduction needs them."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     res = CheckResult("cubic_min_algebra", _CUBIC_SAMPLES)
     for _ in range(_CUBIC_SAMPLES):

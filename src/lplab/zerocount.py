@@ -17,10 +17,10 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from .criteria import minimize_on_interval
 from .errors import FloatRangeError, ParameterError, RealRootsError, ZeroOnCircleError
 from .series import FamilyKind, SeriesFamily, _evaluators, evaluate_many, quotients
 from .series import _MAX_POINTS, _TERM_CAP, _first_coefficient, _normalizing_scale
+from .series import minimize_on_interval
 
 if TYPE_CHECKING:
     import numpy as np

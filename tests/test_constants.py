@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -316,7 +315,7 @@ def test_transition_scan_caps_steps_before_any_allocation(monkeypatch):
     def no_grid(*args):
         raise AssertionError("built the grid")
 
-    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(constants, "_linspace", no_grid)
     for steps in (9, 2**20 + 1):
         with pytest.raises(ParameterError, match=r"steps must lie in \[10, 1048576\]"):
             transition_scan(3.9, 4.0, steps)

@@ -24,13 +24,8 @@ from lplab.criteria import (
     SIX_TERM_EXPANSION_COEFFS,
     SIX_TERM_REFERENCE_COEFFS,
     Verdict,
-    _golden_min,
     _verdict,
     classify_euler,
-    cubic_aux_margin,
-    cubic_critical_points,
-    cubic_profile,
-    cubic_reduced_margin,
     cubic_section_threshold,
     hutchinson_test,
     minimize_on_interval,
@@ -41,7 +36,13 @@ from lplab.criteria import (
 )
 from lplab.errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
 from lplab.polyroots import RealPolynomial
-from lplab.series import FamilyKind, SeriesFamily, coefficient_log, quotients
+from lplab.series import FamilyKind, SeriesFamily, _golden_min, coefficient_log, quotients
+from lplab.verify import (
+    cubic_aux_margin,
+    cubic_critical_points,
+    cubic_profile,
+    cubic_reduced_margin,
+)
 
 TRUE_SIGN_FLIP = 3.964228020751282        # bisection on the interval minimum
 SIX_TERM_FLIP = 3.9642600256809155        # largest root of the exact expansion

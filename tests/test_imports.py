@@ -1,6 +1,7 @@
-"""What a fresh interpreter loads: no layer but ``verify`` imports numpy
-with its module, so the scalar and exact entry points and the CLI commands
-they decide start without it, and the lazily served package API still binds
+"""What a fresh interpreter loads: no layer imports numpy with its module,
+so the scalar and exact entry points, the CLI commands they decide and the
+scalar verify suites start without it; zero counting and verify load no
+criteria or exact layer; and the lazily served package API still binds
 every public name.  Each test runs its own Python process."""
 
 import os
@@ -103,6 +104,24 @@ def test_commands_decided_without_a_batch_run_without_numpy(argv, layer, decided
     imported = imported_modules(proc)
     assert layer in imported
     assert not numpy_modules(imported)
+
+
+def test_zero_counting_imports_no_criteria():
+    out = run_code(
+        "from lplab import count_zeros_in_disk, min_modulus_on_circle, rho_radius\n"
+        "import sys; print(sorted({'lplab.criteria', 'lplab.polyroots'} & set(sys.modules)))"
+    )
+    assert out == "[]"
+
+
+@pytest.mark.parametrize("lemma", ["3", "6", "rouche"])
+def test_scalar_verify_suites_run_without_numpy_or_criteria(lemma):
+    proc = python("-X", "importtime", "-m", "lplab.cli", "verify", "--lemma", lemma)
+    assert '"passed": true' in proc.stdout
+    imported = imported_modules(proc)
+    assert "lplab.verify" in imported
+    assert not numpy_modules(imported)
+    assert not {"lplab.criteria", "lplab.polyroots"} & set(imported)
 
 
 def test_batch_command_still_loads_its_layer():

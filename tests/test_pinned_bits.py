@@ -7,11 +7,14 @@ these fail on any reordered operation.
 
 import hashlib
 import math
+import random
 
 from lplab.constants import q_infinity
 from lplab.criteria import classify_euler, sign_test_euler
 from lplab.polyroots import isolate_real_roots, refine, section_polynomial
-from lplab.series import FamilyKind, SeriesFamily, evaluate, evaluate_many, section_sum
+from lplab.series import (
+    FamilyKind, SeriesFamily, coefficient_log, evaluate, evaluate_many, section_sum, tail_bound,
+)
 from lplab.zerocount import count_zeros_in_disk, rho_radius
 
 
@@ -53,6 +56,33 @@ def test_outputs_keep_their_bits():
     # it meets the bracket of the 32-point probe and bisection (51 evaluations)
     old_lo, old_hi = "0x1.9de7cdef7bdf0p+1", "0x1.9de7ce739ce74p+1"
     assert br.lo <= float.fromhex(old_hi) and float.fromhex(old_lo) <= br.hi
+
+
+# ln a_k of 2,000 drawn (kind, a, k), added left to right from ln a_0 = 0.0:
+# the bits of Python 3.10 and 3.11, whose sum() rounds after every term
+COEFFICIENT_LOG_SHA256 = "92dcdfe5e23682e85e3866537935bc136c4d9b5fd456236c47b96476c5673814"
+
+
+def test_coefficient_logs_keep_their_bits_on_every_python():
+    # needs neither numpy nor pytest, so a bare Python of any version runs it
+    rng = random.Random(22)
+    kinds = (FamilyKind.EULER_F, FamilyKind.THETA, FamilyKind.EULER_H)
+    logs = []
+    for _ in range(2000):
+        fam = SeriesFamily(rng.choice(kinds), rng.uniform(1.01, 8.0))
+        logs.append(coefficient_log(fam, rng.randrange(200)))
+    assert all(type(v) is float for v in logs)
+    digest = hashlib.sha256(" ".join(v.hex() for v in logs).encode()).hexdigest()
+    assert digest == COEFFICIENT_LOG_SHA256
+    fam = SeriesFamily(FamilyKind.EULER_F, 3.7)
+    total = 0.0
+    for k in range(1, 41):
+        total += fam.log_ratio(k)
+        assert coefficient_log(fam, k).hex() == total.hex()
+    for kind in kinds:
+        fam = SeriesFamily(kind, 3.7)
+        assert (type(coefficient_log(fam, 0)), type(tail_bound(fam, 0, 0.0))) == (float, float)
+        assert (coefficient_log(fam, 0), tail_bound(fam, 0, 0.0)) == (0.0, 1.0)
 
 
 def _digest(values, bounds):
@@ -132,15 +162,22 @@ def _winding(res):
             res.samples_used, res.certified)
 
 
+# the circle through the first zero of eulerF at a = 4, counted at a retry
+# radius.  The residual sums numpy's angles, and its arctan2 rounds the last
+# bits one way in its AVX-512 loops and another in its AVX2 and baseline
+# loops, so the count has one frozen result per loop.
+ZERO_CIRCLE_WINDINGS = (
+    ("0x1.0424b7a63fdd2p+1", 1, "0x1.56e2c00000000p-35", "0x1.32934b8d241e3p-23", 256, True),
+    ("0x1.0424b7a63fdd2p+1", 1, "0x1.56e3000000000p-35", "0x1.32934b8d241e3p-23", 256, True),
+)
+
+
 def test_winding_counts_keep_their_bits():
     fam = SeriesFamily(FamilyKind.EULER_F, 4.0)
     assert _winding(count_zeros_in_disk(fam, rho_radius(fam, 6))) == (
         "0x1.99a9997ccdec8p+10", 6, "0x0.0p+0", "0x1.6e2c70148101ap+32", 256, True
     )
-    # a circle through the first zero: the count comes from a retry radius
     p = section_polynomial(fam, 20)
     zero_u = refine(p, isolate_real_roots(p, (1.0, 2.2))[0], 1e-13)
     assert zero_u.hex() == "0x1.0424a699c5780p+1"
-    assert _winding(count_zeros_in_disk(fam, zero_u)) == (
-        "0x1.0424b7a63fdd2p+1", 1, "0x1.56e2c00000000p-35", "0x1.32934b8d241e3p-23", 256, True
-    )
+    assert _winding(count_zeros_in_disk(fam, zero_u)) in ZERO_CIRCLE_WINDINGS

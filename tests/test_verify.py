@@ -8,6 +8,7 @@ import pytest
 
 from lplab import verify
 from lplab.errors import FloatRangeError, ParameterError
+from lplab.series import FamilyKind, SeriesFamily, quotients
 from lplab.verify import (
     CheckResult,
     alternation_block_margin,
@@ -86,8 +87,13 @@ def test_nan_margin_fails():
 
 
 def test_block_inequalities_wide_j():
-    res = check_block_inequalities([3.57])
-    assert res.passed
+    # the suite's five conditions at j = 13..40, past its own j = 4..12
+    for a in (3.57, 4.0, 4.6):
+        q = quotients(SeriesFamily(FamilyKind.EULER_F, a)).q
+        for j in range(13, 41):
+            lhs, rhs, vertex, at_one, low_margin, high_margin = verify._block_terms(q, j)
+            assert lhs > rhs and vertex >= 1.0 and at_one >= 0.0, (a, j)
+            assert low_margin > 0.0 and high_margin > 0.0, (a, j)
 
 
 def test_block_inequalities_preconditions():
