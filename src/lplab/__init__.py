@@ -29,12 +29,12 @@ _EXPORTS = {
         "s2_root_modulus",
     ), "zerocount"),
     **dict.fromkeys((
-        "CriterionReport", "Verdict", "classify_euler", "cubic_section_threshold",
-        "hutchinson_test", "necessary_q2", "sign_test_euler", "sign_test_theta",
-        "six_term_section_test",
+        "CriterionReport", "Verdict", "classify_euler", "hutchinson_test", "necessary_q2",
+        "sign_test_euler", "sign_test_theta", "six_term_section_test",
     ), "criteria"),
     **dict.fromkeys((
-        "Bracket", "c_n", "critical_a", "q_infinity", "threshold_table", "transition_scan",
+        "Bracket", "c_n", "critical_a", "cubic_section_threshold", "q_infinity",
+        "threshold_table", "transition_scan",
     ), "constants"),
 }
 

@@ -70,9 +70,10 @@ def _parse_complex(text: str) -> complex:
 def _parse_grid(text: str) -> List[float]:
     try:
         lo, hi, steps = text.split(":")
-        if not 1 <= int(steps) <= _MAX_POINTS:
-            raise ValueError(f"STEPS must lie in [1, {_MAX_POINTS}]")
-        return _linspace(_finite(lo), _finite(hi), int(steps))
+        lo, hi, steps = _finite(lo), _finite(hi), int(steps)
+        if not (1 <= steps <= _MAX_POINTS and math.isfinite(hi - lo)):
+            raise ValueError("STEPS outside its range, or HI - LO beyond the float range")
+        return _linspace(lo, hi, steps)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected LO:HI:STEPS with 1 <= STEPS <= {_MAX_POINTS}, got {text!r}"
@@ -151,12 +152,8 @@ def _run_classify(args) -> Tuple[Dict, Dict]:
 def _run_sign_test(args) -> Tuple[Dict, Dict]:
     from .criteria import sign_test_euler, sign_test_theta
 
-    if args.family == "eulerF":
-        if args.n is not None:
-            raise LplabError("--n applies to the theta family only")
-        rep = sign_test_euler(args.a, grid=args.grid)
-    else:
-        rep = sign_test_theta(args.a, n=args.n, grid=args.grid)
+    rep = (sign_test_euler(args.a, grid=args.grid) if args.family == "eulerF"
+           else sign_test_theta(args.a, n=args.n, grid=args.grid))
     return _report_result(rep), {"grid": args.grid}
 
 
@@ -190,8 +187,6 @@ def _run_constants(args) -> Tuple[Dict, Dict]:
     if args.name == "q_infinity":
         br = q_infinity(args.tol)
     elif args.name == "c_n":
-        if args.n is None:
-            raise LplabError("constants --name c_n requires --n")
         br = c_n(args.n, args.tol)
     elif args.name == "critical_a":
         br = critical_a(args.tol)
@@ -263,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, handler: Callable, help: str,
                 table: Optional[Callable] = None) -> argparse.ArgumentParser:
         """``table`` reads the records of ``--format csv`` off the result; a
-        command without one, or a result it finds none in, has no CSV form."""
+        command without one has no CSV form (see ``_check_usage``)."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler, table=table)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -309,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=256)
 
     p = command("constants", _run_constants, "certified critical constants",
-                lambda result: result.get("thresholds"))
+                itemgetter("thresholds"))
     p.add_argument("--n", type=int, default=None, help="section index for c_n")
     p.add_argument("--tol", type=_finite, default=1e-6)
     p.add_argument(
@@ -367,9 +362,21 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _check_usage(parser: argparse.ArgumentParser, args) -> None:
+    """The usage rules that span arguments, decided before any handler runs."""
+    if args.command == "sign-test" and args.n is not None and args.family != "theta":
+        parser.error("--n applies to the theta family only: expected --family theta --n N")
+    if args.command == "constants" and args.name == "c_n" and args.n is None:
+        parser.error("expected --name c_n --n N")
+    if args.format == "csv" and (
+            args.table is None or args.command == "constants" and args.name != "thresholds"):
+        parser.error(f"--format csv is not available for {args.command!r}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _check_usage(parser, args)
     started = time.perf_counter()
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS and v is not None}
 
@@ -385,9 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(_to_json(envelope(error=str(exc), error_type=type(exc).__name__)), args.out)
         return 1
     if args.format == "csv":
-        records = None if args.table is None else args.table(result)
-        if records is None:
-            parser.error(f"--format csv is not available for {args.command!r}")
+        records = args.table(result)
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [list(records[0]), *(rec.values() for rec in records)]

@@ -12,16 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .criteria import (
-    CUBIC_THRESHOLD_COEFFS,
-    SIX_TERM_EXPANSION_COEFFS,
-    SIX_TERM_REFERENCE_COEFFS,
-    Verdict,
-    sign_test_euler,
-    sign_test_theta,
-)
+from .criteria import SIX_TERM_EXPANSION_COEFFS, Verdict, sign_test_euler, sign_test_theta
 from .errors import BracketError, MonotonicityError, ParameterError
 from .polyroots import RealPolynomial, isolate_real_roots, refine
 from .series import _MAX_POINTS, _linspace
@@ -263,48 +256,64 @@ class ThresholdEntry:
     coeffs: Tuple[float, ...] = field(repr=False)
 
 
-# (name, ascending coefficients, isolation interval, quoted reference value)
-_THRESHOLD_POLYS: List[Tuple[str, Tuple[float, ...], Tuple[float, float], Optional[float]]] = [
+# a^8 - 8a^7 + 15a^6 + 12a^5 - 21a^4 - 28a^3 - 43a^2 - 40a - 16, ascending:
+# the exact polynomialization of "the cubic-section minimum can be <= 0",
+# i.e. of  b^2 c^2 - 4 b^2 c + 18 b c - 4 b c^2 - 27 >= 0  under
+# b = (a^2+1)/(a+1), c = (a^3+1)/(a^2+1), cleared of denominators
+# (lplab.verify checks that reduction: ``check_cubic_min_algebra``).
+CUBIC_THRESHOLD_COEFFS: Tuple[int, ...] = (-16, -40, -43, -28, -21, 12, 15, -8, 1)
+
+# The six-term certificate's degree-20 polynomial as previously reported, kept
+# as comparison data only: it differs from the exact ``SIX_TERM_EXPANSION_COEFFS``
+# across a^5..a^14 and at a^17, and its largest root is near 3.91718, not 3.96426.
+SIX_TERM_REFERENCE_COEFFS: Tuple[int, ...] = (
+    463, 729, -226, 567, 1360, 966, 1030, 750, 1142, 1125, 1927,
+    228, 846, 822, 918, 1134, 567, -594, 567, 513, -162,
+)
+
+# name -> (ascending coefficients, isolation interval, quoted reference value)
+_THRESHOLD_POLYS: Dict[str, Tuple[Tuple[float, ...], Tuple[float, float], Optional[float]]] = {
     # a^7 - 3a^6 - a^4 - a^3 - 3a^2 - 1: tail bound < circle minimum
-    ("rouche_gap_septic", (-1, 0, -3, -1, -1, 0, -3, 1), (1.0, 10.0), 3.16258),
+    "rouche_gap_septic": ((-1, 0, -3, -1, -1, 0, -3, 1), (1.0, 10.0), 3.16258),
     # b^11 - 2b^10 + 2b^7 - b^4 + 2b^3 - 2b^2 - 2 in b = sqrt(a):
     # limiting block-domination inequality
-    ("limiting_gap_poly", (-2, 0, -2, 2, -1, 0, 0, 2, 0, 0, -2, 1), (1.0, 2.0), 1.47),
+    "limiting_gap_poly": ((-2, 0, -2, 2, -1, 0, 0, 2, 0, 0, -2, 1), (1.0, 2.0), 1.47),
     # t^5 - 2t^4 + 1.8t - 2/9 in t = sqrt(q): sign-alternation reduction
-    ("alternation_quintic", (-2.0 / 9.0, 1.8, 0.0, 0.0, -2.0, 1.0), (0.5, 2.0), 1.57685),
-    ("cubic_section_octic", tuple(float(c) for c in CUBIC_THRESHOLD_COEFFS), (3.0, 5.0), 3.90155),
-    (
-        "six_term_reference_deg20",
-        tuple(float(c) for c in SIX_TERM_REFERENCE_COEFFS),
-        (3.0, 6.0),
-        3.91719,
-    ),
-    (
-        "six_term_exact_deg20",
-        tuple(float(c) for c in SIX_TERM_EXPANSION_COEFFS),
-        (3.0, 6.0),
-        None,
-    ),
-]
+    "alternation_quintic": ((-2.0 / 9.0, 1.8, 0.0, 0.0, -2.0, 1.0), (0.5, 2.0), 1.57685),
+    "cubic_section_octic": (CUBIC_THRESHOLD_COEFFS, (3.0, 5.0), 3.90155),
+    "six_term_reference_deg20": (SIX_TERM_REFERENCE_COEFFS, (3.0, 6.0), 3.91719),
+    "six_term_exact_deg20": (SIX_TERM_EXPANSION_COEFFS, (3.0, 6.0), None),
+}
+
+
+def _threshold_root(name: str, tol: float) -> Tuple[RealPolynomial, float]:
+    """The polynomial of threshold ``name`` and its largest real root on the
+    row's interval, refined to ``tol``; ``BracketError`` when it has none."""
+    coeffs, interval, _ = _THRESHOLD_POLYS[name]
+    poly = RealPolynomial(coeffs)
+    brackets = isolate_real_roots(poly, interval)
+    if not brackets:
+        raise BracketError(f"{name}: no real root in {interval}")
+    return poly, refine(poly, brackets[-1], tol)
+
+
+def cubic_section_threshold(tol: float = 1e-12) -> float:
+    """The parameter value above which the cubic-section certificate can
+    fire: the root of ``CUBIC_THRESHOLD_COEFFS`` in [3, 5], its only one
+    there (approximately 3.90155)."""
+    return _threshold_root("cubic_section_octic", tol)[1]
 
 
 def threshold_table(tol: float = 1e-10) -> List[ThresholdEntry]:
-    """Recompute every explicit threshold constant from its defining
-    polynomial (largest real root on the stated interval) and report it
-    next to the quoted reference value.
-
-    The final row re-expands the six-term certificate polynomial exactly;
-    its root is the one the certificate actually obeys.
-    """
+    """Every explicit threshold constant recomputed from its defining
+    polynomial (largest real root on the stated interval), next to the
+    quoted reference value.  The final row is the exact six-term expansion,
+    whose root is the one the certificate actually obeys."""
     out: List[ThresholdEntry] = []
-    for name, coeffs, interval, reference in _THRESHOLD_POLYS:
-        poly = RealPolynomial(coeffs)
-        brackets = isolate_real_roots(poly, interval)
-        if not brackets:
-            raise BracketError(f"{name}: no real root in {interval}")
-        root = refine(poly, brackets[-1], tol)
+    for name, (_, _, reference) in _THRESHOLD_POLYS.items():
+        poly, root = _threshold_root(name, tol)
         deviation = abs(root - reference) if reference is not None else None
-        out.append(ThresholdEntry(name, root, reference, deviation, coeffs))
+        out.append(ThresholdEntry(name, root, reference, deviation, poly.coeffs))
     return out
 
 

@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .errors import ConsistencyError, FloatRangeError, ParameterError, PreconditionError
-from .polyroots import RealPolynomial, _dyadic, _sign, isolate_real_roots, refine
+from .polyroots import _dyadic, _sign
 from .series import _EPS, _EULER_SIGN, FamilyKind, SeriesFamily, _evaluators, quotients
 from .series import minimize_on_interval, section_sum
 from .series import evaluate  # noqa: F401  (perfbench's tracer tests patch this binding)
@@ -202,31 +202,6 @@ def _sign_test(
 
 
 # ---------------------------------------------------------------------------
-# cubic-section threshold
-# ---------------------------------------------------------------------------
-
-# a^8 - 8a^7 + 15a^6 + 12a^5 - 21a^4 - 28a^3 - 43a^2 - 40a - 16, ascending:
-# the exact polynomialization of "the cubic-section minimum can be <= 0",
-# i.e. of  b^2 c^2 - 4 b^2 c + 18 b c - 4 b c^2 - 27 >= 0  under
-# b = (a^2+1)/(a+1), c = (a^3+1)/(a^2+1), cleared of denominators
-# (lplab.verify checks that reduction: ``check_cubic_min_algebra``).
-CUBIC_THRESHOLD_COEFFS: Tuple[int, ...] = (-16, -40, -43, -28, -21, 12, 15, -8, 1)
-
-
-def cubic_section_threshold(tol: float = 1e-12) -> float:
-    """The parameter value above which the cubic-section certificate can
-    fire: the unique root of ``CUBIC_THRESHOLD_COEFFS`` in [3, 5]
-    (approximately 3.90155)."""
-    p = RealPolynomial(tuple(float(c) for c in CUBIC_THRESHOLD_COEFFS))
-    brackets = isolate_real_roots(p, (3.0, 5.0))
-    if len(brackets) != 1:
-        raise ConsistencyError(
-            f"expected one threshold root in [3, 5], found {len(brackets)}"
-        )
-    return refine(p, brackets[0], tol)
-
-
-# ---------------------------------------------------------------------------
 # six-term section certificate
 # ---------------------------------------------------------------------------
 
@@ -247,15 +222,6 @@ def _six_term_expansion() -> Tuple[int, ...]:
 
 
 SIX_TERM_EXPANSION_COEFFS: Tuple[int, ...] = _six_term_expansion()
-
-# Reference coefficient set for the same degree-20 polynomial as previously
-# reported; it differs from the exact expansion above across the a^5..a^14
-# band and at a^17, and its largest root is near 3.91718 instead of 3.96426.
-# Kept as comparison data only.
-SIX_TERM_REFERENCE_COEFFS: Tuple[int, ...] = (
-    463, 729, -226, 567, 1360, 966, 1030, 750, 1142, 1125, 1927,
-    228, 846, 822, 918, 1134, 567, -594, 567, 513, -162,
-)
 
 
 def _six_term_section_values(a: float) -> Tuple[float, float, float]:

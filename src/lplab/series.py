@@ -262,8 +262,8 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
     """The one loop over the term recurrence t_k = t_{k-1} * w * a_k/a_{k-1},
     w = -z for an alternating family; returns (total, bound, terms_used).
 
-    ``z`` is a Python scalar of any numeric type, summed at its own
-    precision, or a numpy array, summed pointwise.  With ``n`` it sums the
+    ``z`` is a scalar of any numeric type, summed at its own precision (at
+    least double's), or a numpy array, summed pointwise.  With ``n`` it sums the
     degree-n section (fewer terms if a custom family ends sooner), with the
     roundoff bound 4 eps (n+1) sum |t_k|; with ``n=None`` the full series,
     until ``evaluate``'s stop rule holds at every point.  A non-finite point
@@ -282,8 +282,13 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
     # its points, a scalar loop makes no numpy call
     np = None if type(z) in _PY_SCALARS else sys.modules.get("numpy")
     batch = np is not None and isinstance(z, np.ndarray)
+    if np is not None and isinstance(z, (np.ndarray, np.generic)):
+        # at least double, as the roundoff bound's eps assumes (NEP 50 keeps a
+        # narrow dtype); a double numpy scalar sums as a Python one
+        z = z.astype(np.promote_types(z.dtype, np.float64), copy=False)
+        if not batch and z.dtype in _DOUBLES:
+            z = z.item()
     top = _array_max if batch else _itself
-    cmul = batch and n is not None and np.iscomplexobj(z)
     last = _TERM_CAP if n is None else n
     if family.n_terms is not None:
         last = min(last, family.n_terms - 1)
@@ -302,6 +307,8 @@ def _term_sum(family: SeriesFamily, z, n: Optional[int], rel_tol: float = 1e-12)
         if n is None and wmax == 0:
             return total, 0.0 * abs_acc, 1  # a zero bound shaped like z
         r, inf = rs[1], math.inf
+        # a Fraction or mpmath ratio makes w * r an object array: no split product
+        cmul = batch and n is not None and z.dtype.kind == "c" and isinstance(r, float)
         # a double batch tests its stop rule at one binding point first
         # (see evaluate_many): i is that point, i0 the one of largest |w|
         pick = batch and n is None and z.dtype in _DOUBLES and isinstance(r, float)

@@ -103,7 +103,10 @@ def check_tail_gap(a_grid: Sequence[float]) -> CheckResult:
 
 def _block_terms(q: Callable[[int], float], j: int) -> Tuple[float, ...]:
     """(lhs, rhs, parabola vertex, parabola at t = 1, low-ratio margin,
-    high-ratio margin) of the block-domination inequality at index j."""
+    high-ratio margin) of the block-domination inequality at index j: lhs
+    is the scaled minimum of the five-term central block on the block
+    radius, rhs the low- and high-index sums (geometric majorants) plus the
+    block-completion term."""
     sq = math.sqrt(q(j + 1))
     block = q(j - 1) * q(j) * sq
     at_one = 2.0 - 2.0 * q(j) * sq + q(j) * q(j + 1)
@@ -112,17 +115,6 @@ def _block_terms(q: Callable[[int], float], j: int) -> Tuple[float, ...]:
     high = q(j - 1) * q(j) ** 2 / (q(j + 2) ** 2 * q(j + 3)) / high_margin
     rhs = 1.0 / low_margin + high + block * (1.0 - q(j) / q(j + 2))
     return block * at_one, rhs, q(j) * sq / 4.0, at_one, low_margin, high_margin
-
-
-def central_block_gap(a: float, j: int) -> Tuple[float, float]:
-    """(lhs, rhs) of the block-domination inequality at index j.
-
-    lhs is the scaled minimum of the five-term central block on the
-    block radius; rhs collects the three neglected contributions: the
-    low-index sum, the high-index sum (both via geometric majorants) and
-    the block-completion term.
-    """
-    return _block_terms(quotients(SeriesFamily(FamilyKind.EULER_F, a)).q, j)[:2]
 
 
 def limiting_gap_margin(a: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lplab import constants
+from lplab import cli, constants
 from lplab.cli import _LEMMAS, main
 from lplab.verify import (
     check_block_inequalities,
@@ -99,11 +99,10 @@ def test_sign_test_theta_with_section(capsys):
 
 
 def test_sign_test_euler_rejects_section(capsys):
-    code, doc = run_json(
-        capsys, ["sign-test", "--family", "eulerF", "--a", "4.0", "--n", "2"]
-    )
-    assert code == 1
-    assert "error" in doc
+    with pytest.raises(SystemExit) as exc:
+        main(["sign-test", "--family", "eulerF", "--a", "4.0", "--n", "2"])
+    assert exc.value.code == 2
+    assert "expected --family theta --n N" in capsys.readouterr().err
 
 
 def test_zeros_block_radius(capsys):
@@ -139,9 +138,10 @@ def test_constants_tolerance_wider_than_the_probe_cell(capsys):
 
 
 def test_constants_c_n_requires_n(capsys):
-    code, doc = run_json(capsys, ["constants", "--name", "c_n"])
-    assert code == 1
-    assert doc["error_type"] == "LplabError"
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--name", "c_n"])
+    assert exc.value.code == 2
+    assert "expected --name c_n --n N" in capsys.readouterr().err
     code, doc = run_json(capsys, ["constants", "--name", "c_n", "--n", "2"])
     assert code == 0
     assert abs(doc["result"]["midpoint"] - 4.0) < 1e-5
@@ -371,6 +371,42 @@ def test_winding_counts_past_the_float_range_fail_quietly(radius):
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error_type"] == "FloatRangeError"
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # HI - LO overflows: the grid would hold nan, and its echo is no JSON
+    (["verify", "--lemma", "rouche", "--a-grid=-1e308:1e308:3"], "expected LO:HI:STEPS"),
+    (["sign-test", "--family", "eulerF", "--a", "4", "--n", "3"], "expected --family theta --n N"),
+    (["constants", "--name", "c_n"], "expected --name c_n --n N"),
+    (["classify", "--a", "3.8", "--format", "csv"], "--format csv is not available"),
+    (["constants", "--name", "q_infinity", "--format", "csv"], "--format csv is not available"),
+])
+def test_usage_errors_exit_2_with_no_report_and_no_traceback(argv, expected):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lplab.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert expected in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, handler", [
+    (["classify", "--a", "3.8", "--format", "csv"], "_run_classify"),
+    (["constants", "--name", "c_n", "--n", "4", "--format", "csv"], "_run_constants"),
+    (["eval", "--family", "eulerF", "--a", "4", "--z", "1", "--format", "csv"], "_run_eval"),
+])
+def test_csv_without_a_table_is_refused_before_the_handler_runs(monkeypatch, capsys, argv,
+                                                                 handler):
+    def fail(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, handler, fail)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def _reject_constant(name):

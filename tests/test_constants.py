@@ -17,6 +17,7 @@ from lplab.constants import (
 )
 from lplab.criteria import sign_test_euler, sign_test_theta
 from lplab.errors import BracketError, MonotonicityError, ParameterError
+from lplab.polyroots import RealPolynomial, count_real_roots, isolate_real_roots
 
 Q_INF = 3.2336366658766087  # frozen from an independent 70-step bisection
 TRUE_SIGN_FLIP = 3.964228020751282
@@ -283,6 +284,31 @@ def test_threshold_table_values():
         3.9642600256809155, abs=1e-8
     )
     assert table["six_term_exact_deg20"].reference is None
+
+
+def test_cubic_octic_has_one_root_in_its_interval():
+    # the table takes the largest root on [3, 5]; it is the only one there
+    poly = RealPolynomial(constants.CUBIC_THRESHOLD_COEFFS)
+    assert len(isolate_real_roots(poly, (3.0, 5.0))) == 1
+    assert count_real_roots(poly, (3.0, 5.0)) == 1
+
+
+def test_cubic_section_threshold_is_the_table_root():
+    import lplab
+
+    assert lplab.cubic_section_threshold is constants.cubic_section_threshold
+    thr = constants.cubic_section_threshold()
+    assert thr.hex() == "0x1.f365fad7b5c00p+1"
+    (row,) = [e for e in threshold_table() if e.name == "cubic_section_octic"]
+    assert row.computed_root == pytest.approx(thr, abs=1e-10)
+    assert row.coeffs == tuple(float(c) for c in constants.CUBIC_THRESHOLD_COEFFS)
+
+
+def test_threshold_root_without_a_root_is_a_bracket_error(monkeypatch):
+    monkeypatch.setitem(constants._THRESHOLD_POLYS, "cubic_section_octic",
+                        (constants.CUBIC_THRESHOLD_COEFFS, (4.0, 5.0), 3.90155))
+    with pytest.raises(BracketError, match="cubic_section_octic: no real root"):
+        constants.cubic_section_threshold()
 
 
 def test_transition_scan_single_flip():

@@ -20,13 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lplab import criteria, polyroots
+from lplab.constants import SIX_TERM_REFERENCE_COEFFS, cubic_section_threshold
 from lplab.criteria import (
     SIX_TERM_EXPANSION_COEFFS,
-    SIX_TERM_REFERENCE_COEFFS,
     Verdict,
     _verdict,
     classify_euler,
-    cubic_section_threshold,
     hutchinson_test,
     minimize_on_interval,
     necessary_q2,

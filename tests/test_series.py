@@ -457,6 +457,52 @@ def test_section_sum_batch_equals_pointwise(fam):
             assert vals.tolist() == [evaluate_section(fam, n, p) for p in pts.tolist()]
 
 
+def _bits(v):
+    a = np.asarray(v)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("z", [
+    np.array([0.5, 3.0, 10.0, 17.5], dtype=np.float16),
+    np.array([0.1, 3.3, 10.0, 17.7], dtype=np.float32),
+    np.array([5 + 1j, 10 + 0j, -3.3 + 2.2j], dtype=np.complex64),
+    np.array([0, 3, 10, 17], dtype=np.int64),
+    np.array([True, False, True]),
+    np.float32(10.0),
+    np.int64(10),
+], ids=lambda z: f"{type(z).__name__}-{z.dtype}")
+def test_narrow_numpy_inputs_sum_at_double_precision(z):
+    # the roundoff bound takes float64's eps, so a narrower dtype must not
+    # carry through the products: each input gives the bits of its points
+    # as float64 or complex128
+    fam = eulerF(3.8, alternating=True)
+    wide = z.astype(np.promote_types(z.dtype, np.float64))
+    if not isinstance(z, np.ndarray):
+        wide = wide.item()
+        assert type(evaluate(fam, z).value) is type(wide)  # summed as a Python scalar
+    for run in (lambda p: dataclasses.astuple(evaluate(fam, p)),
+                lambda p: evaluate_many(fam, p), lambda p: section_sum(fam, 8, p)):
+        assert [_bits(v) for v in run(z)] == [_bits(v) for v in run(wide)]
+
+
+def test_extended_precision_batches_keep_their_dtype():
+    fam = eulerF(3.8, alternating=True)
+    for dtype in (np.longdouble, np.clongdouble):
+        vals, bounds = section_sum(fam, 8, np.array([3.0, 10.0], dtype=dtype))
+        assert vals.dtype == dtype
+
+
+@pytest.mark.parametrize("a", [Fraction(19, 5), mpmath.mpf("3.8")], ids=["Fraction", "mpf"])
+def test_complex_section_batch_with_an_exact_or_mpmath_parameter(a):
+    # the ratios are not floats: the points multiply elementwise, as objects
+    fam = SeriesFamily(FamilyKind.EULER_F, a, alternating=True)
+    zs = np.array([5 + 1j, 10 + 0j, -3 + 2j])
+    vals, bounds = section_sum(fam, 6, zs)
+    pointwise = [section_sum(fam, 6, z) for z in zs.tolist()]
+    assert vals.tolist() == [v for v, _ in pointwise]
+    assert bounds.tolist() == [b for _, b in pointwise]
+
+
 def test_section_sum_roundoff_bound_and_degree():
     fam = eulerF(4.0, alternating=True)
     value, bound = section_sum(fam, 2, 17.0)

@@ -11,9 +11,9 @@ from lplab.errors import FloatRangeError, ParameterError
 from lplab.series import FamilyKind, SeriesFamily, quotients
 from lplab.verify import (
     CheckResult,
+    _block_terms,
     alternation_block_margin,
     alternation_closed_margin,
-    central_block_gap,
     check_block_inequalities,
     check_circle_minimum,
     check_cubic_min_algebra,
@@ -102,7 +102,7 @@ def test_block_inequalities_preconditions():
 
 
 def test_block_gap_two_sides():
-    lhs, rhs = central_block_gap(4.0, 6)
+    lhs, rhs = _block_terms(quotients(SeriesFamily(FamilyKind.EULER_F, 4.0)).q, 6)[:2]
     assert lhs > rhs > 0.0
 
 
